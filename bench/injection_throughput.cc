@@ -47,6 +47,7 @@
 #include <string>
 #include <vector>
 
+#include "common/logging.hh"
 #include "common/random.hh"
 #include "common/string_utils.hh"
 #include "core/study_spec.hh"
@@ -89,10 +90,8 @@ struct CellResult
     bool outcomesEqual = true;
 };
 
-} // namespace
-
 int
-main(int argc, char** argv)
+run(int argc, char** argv)
 {
     std::vector<std::string> workloads;
     for (auto name : allWorkloadNames())
@@ -432,4 +431,19 @@ main(int argc, char** argv)
         return 1;
     }
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char** argv)
+{
+    // Bad names in the list flags surface as FatalError: report them
+    // like a usage error instead of aborting.
+    try {
+        return run(argc, argv);
+    } catch (const FatalError& e) {
+        std::fprintf(stderr, "error: %s\n", e.what());
+        return 2;
+    }
 }

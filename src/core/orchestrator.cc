@@ -5,7 +5,6 @@
 // or RNG draws (resume bit-identity strips wall-clock fields).
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <exception>
 #include <fstream>
@@ -188,6 +187,10 @@ planStudy(const StudySpec& spec)
 
 namespace {
 
+struct CampaignExec;
+/** A shard ready for submission: its campaign and its key. */
+using ShardTask = std::pair<CampaignExec*, const ShardKey*>;
+
 /** One (workload, GPU) grid cell with its cached golden/ACE pass. */
 struct Cell
 {
@@ -198,14 +201,13 @@ struct Cell
     WorkloadInstance instance;
     AceResult ace;
 
-    // Checkpoint pack shared by every shard of this cell.  Built
-    // lazily by the first shard worker that needs it (one extra golden
-    // pass) and released when the cell's last campaign finishes, so
-    // peak pack memory tracks the cells currently in flight, not the
-    // whole grid.
-    std::once_flag packOnce;
+    // Admission state, guarded by runStudy's state mutex.  The pack
+    // (one extra golden pass) is built by the cell's admission task and
+    // released when its last campaign finishes (see admit_next_locked).
     std::shared_ptr<const CheckpointPack> pack;
-    std::atomic<std::size_t> campaignsLeft{0};
+    std::size_t campaignsLeft = 0;
+    /** First-batch shards held back until the cell is admitted. */
+    std::vector<ShardTask> waiting;
 };
 
 /** Final accumulation of one campaign, fed to report assembly. */
@@ -482,8 +484,7 @@ runStudy(const StudySpec& spec, StudyProgress* progress_out)
     // more threads than it has work for the larger wave.
     std::map<std::pair<std::string, GpuModel>, std::size_t> canonical;
     std::vector<std::size_t> cell_of_grid(progress.cells);
-    std::vector<std::unique_ptr<Cell>> cells; // stable addresses (and
-                                              // Cell holds a once_flag)
+    std::vector<std::unique_ptr<Cell>> cells; // stable addresses
     for (std::size_t w = 0; w < result.workloads.size(); ++w) {
         for (std::size_t g = 0; g < num_gpus; ++g) {
             const auto [it, fresh] = canonical.try_emplace(
@@ -605,11 +606,67 @@ runStudy(const StudySpec& spec, StudyProgress* progress_out)
         } else {
             c.batchEndShard = {c.shards.size()};
         }
-        cells[c.cellIndex]->campaignsLeft.fetch_add(
-            1, std::memory_order_relaxed);
+        ++cells[c.cellIndex]->campaignsLeft;
     }
 
-    std::mutex state_mutex; // guards campaigns' counts + progress
+    // Guards campaigns' counts, the cells' admission state and progress.
+    std::mutex state_mutex;
+    // Cells with shards to run, in admission order; the first
+    // `admitted_cells` of them have been admitted.
+    std::vector<Cell*> admission;
+    std::size_t admitted_cells = 0;
+    std::size_t live_packs = 0;
+    std::function<void(CampaignExec*, const ShardKey*)> submit_shard;
+
+    /**
+     * Admit the next waiting cell: build its pack in a pool task of its
+     * own, then submit the shards it held back, so no worker ever waits
+     * on another worker's pack.  Called once per slot at the start and
+     * once whenever an admitted cell finishes, so at most `jobs` cells
+     * hold or build a pack at any time.
+     */
+    auto admit_next_locked = [&]() {
+        if (admitted_cells == admission.size())
+            return;
+        Cell* cell = admission[admitted_cells++];
+        const auto release_waiting_locked = [&submit_shard, cell]() {
+            for (const auto& [campaign, key] : cell->waiting)
+                submit_shard(campaign, key);
+            cell->waiting.clear();
+        };
+        if (spec.checkpoints == 0) {
+            release_waiting_locked();
+            return;
+        }
+        pool.submit([&, cell, release_waiting_locked]() {
+            if (errored())
+                return;
+            try {
+                const auto p0 = std::chrono::steady_clock::now();
+                FaultInjector injector(*cell->config, cell->instance);
+                injector.adoptGoldenCycles(cell->ace.goldenStats.cycles);
+                auto pack = injector.buildCheckpointPack(spec.checkpoints);
+                const double build_seconds =
+                    std::chrono::duration<double>(
+                        std::chrono::steady_clock::now() - p0)
+                        .count();
+                std::lock_guard<std::mutex> lock(state_mutex);
+                cell->pack = std::move(pack);
+                ++progress.checkpointPacks;
+                progress.packBuildSeconds += build_seconds;
+                progress.peakLivePacks =
+                    std::max(progress.peakLivePacks, ++live_packs);
+                progress.peakPackBytes = std::max(
+                    progress.peakPackBytes, cell->pack->approxBytes());
+                progress.peakPackFullBytes =
+                    std::max(progress.peakPackFullBytes,
+                             cell->pack->fullEquivalentBytes());
+                release_waiting_locked();
+            } catch (...) {
+                record_error();
+            }
+        });
+    };
 
     auto merge_locked = [&](CampaignExec& c, const ShardKey& key,
                             const ShardCounts& counts, bool executed) {
@@ -636,9 +693,15 @@ runStudy(const StudySpec& spec, StudyProgress* progress_out)
         c.finished = true;
         progress.prunedShards += c.shards.size() - c.shardsDone;
         Cell* cell = cells[c.cellIndex].get();
-        if (cell->campaignsLeft.fetch_sub(1, std::memory_order_acq_rel) ==
-            1) {
-            cell->pack.reset();
+        if (--cell->campaignsLeft == 0) {
+            if (cell->pack) {
+                cell->pack.reset();
+                --live_packs;
+            }
+            // A no-op during the up-front pump (nothing is queued for
+            // admission yet), so cells finished entirely from the store
+            // never take a slot.
+            admit_next_locked();
         }
         if (spec.verbose) {
             inform("study: ", cell->workload, " on ",
@@ -658,10 +721,7 @@ runStudy(const StudySpec& spec, StudyProgress* progress_out)
      * evaluates immediately); the rest are handed back for submission
      * outside the lock.
      */
-    auto pump_locked = [&](CampaignExec& c,
-                           std::vector<std::pair<CampaignExec*,
-                                                 const ShardKey*>>&
-                               to_run) {
+    auto pump_locked = [&](CampaignExec& c, std::vector<ShardTask>& to_run) {
         while (!c.finished && c.outstanding == 0) {
             if (c.issuedBatches > 0) {
                 const bool last =
@@ -702,30 +762,12 @@ runStudy(const StudySpec& spec, StudyProgress* progress_out)
         }
     };
 
-    // A cell's pack is recorded by whichever shard worker gets there
-    // first (the others block on the once_flag for the duration of one
-    // golden pass) and freed as soon as the cell's last campaign
-    // finishes.
-    auto adopt_cell_pack = [&](Cell* cell, FaultInjector& injector) {
-        if (spec.checkpoints == 0)
-            return;
-        std::call_once(cell->packOnce, [&]() {
-            cell->pack = injector.buildCheckpointPack(spec.checkpoints);
-            std::lock_guard<std::mutex> lock(state_mutex);
-            ++progress.checkpointPacks;
-            progress.peakPackBytes = std::max(
-                progress.peakPackBytes, cell->pack->approxBytes());
-            progress.peakPackFullBytes =
-                std::max(progress.peakPackFullBytes,
-                         cell->pack->fullEquivalentBytes());
-        });
-        if (cell->pack)
-            injector.adoptCheckpointPack(cell->pack);
-    };
-
     // Recursive through std::function: a worker that completes the last
-    // shard of a batch submits the campaign's next batch itself.
-    std::function<void(CampaignExec*, const ShardKey*)> submit_shard =
+    // shard of a batch submits the campaign's next batch itself.  A
+    // shard is only submitted once its cell is admitted and its pack
+    // built, and the pack is only released after the cell's last shard
+    // merged, so reading cell->pack here needs no lock.
+    submit_shard =
         [&](CampaignExec* campaign, const ShardKey* keyp) {
             Cell* cell = cells[campaign->cellIndex].get();
             pool.submit([&, campaign, keyp, cell]() {
@@ -737,7 +779,8 @@ runStudy(const StudySpec& spec, StudyProgress* progress_out)
                     FaultInjector injector(*cell->config, cell->instance);
                     injector.adoptGoldenCycles(
                         cell->ace.goldenStats.cycles);
-                    adopt_cell_pack(cell, injector);
+                    if (cell->pack)
+                        injector.adoptCheckpointPack(cell->pack);
                     ShardCounts counts;
                     const FaultShape shape{key.behavior, key.pattern};
                     const auto tally = [&](const InjectionResult& r) {
@@ -805,8 +848,7 @@ runStudy(const StudySpec& spec, StudyProgress* progress_out)
                         store << '\n';
                         store.flush();
                     }
-                    std::vector<std::pair<CampaignExec*, const ShardKey*>>
-                        to_run;
+                    std::vector<ShardTask> to_run;
                     {
                         std::lock_guard<std::mutex> lock(state_mutex);
                         merge_locked(*campaign, key, counts,
@@ -828,14 +870,27 @@ runStudy(const StudySpec& spec, StudyProgress* progress_out)
         };
 
     {
-        std::vector<std::pair<CampaignExec*, const ShardKey*>> to_run;
-        {
-            std::lock_guard<std::mutex> lock(state_mutex);
-            for (CampaignExec& c : campaigns)
-                pump_locked(c, to_run);
-        }
-        for (const auto& [campaign, key] : to_run)
-            submit_shard(campaign, key);
+        // Pump every campaign once up front: store-resumed shards merge
+        // here, so only cells left with a shard to execute queue for
+        // admission (a fully resumed cell never builds a pack).  The
+        // longest golden runs are admitted first — their packs and
+        // shards are the tail of the study — with ties in grid order.
+        std::lock_guard<std::mutex> lock(state_mutex);
+        std::vector<ShardTask> to_run;
+        for (CampaignExec& c : campaigns)
+            pump_locked(c, to_run);
+        for (const ShardTask& task : to_run)
+            cells[task.first->cellIndex]->waiting.push_back(task);
+        for (const auto& c : cells)
+            if (!c->waiting.empty())
+                admission.push_back(c.get());
+        std::stable_sort(admission.begin(), admission.end(),
+                         [](const Cell* a, const Cell* b) {
+                             return a->ace.goldenStats.cycles >
+                                    b->ace.goldenStats.cycles;
+                         });
+        for (unsigned slot = 0; slot < jobs; ++slot)
+            admit_next_locked();
     }
     rethrow_errors();
     for (const CampaignExec& c : campaigns) {
@@ -877,9 +932,12 @@ runStudy(const StudySpec& spec, StudyProgress* progress_out)
                " worker-s injecting, ", progress.injectionsExecuted,
                " injections at ",
                strprintf("%.1f", progress.injectionsPerSecond()), "/s, ",
-               progress.checkpointPacks, " checkpoint packs, peak ",
-               progress.peakPackBytes / 1024, " KiB delta-encoded vs ",
-               progress.peakPackFullBytes / 1024, " KiB full)");
+               progress.checkpointPacks, " checkpoint packs built in ",
+               strprintf("%.2f", progress.packBuildSeconds),
+               " worker-s, at most ", progress.peakLivePacks,
+               " alive at once, peak ", progress.peakPackBytes / 1024,
+               " KiB delta-encoded vs ", progress.peakPackFullBytes / 1024,
+               " KiB full)");
     }
     if (progress_out)
         *progress_out = progress;

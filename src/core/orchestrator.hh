@@ -5,12 +5,20 @@
  * persistent worker pool, instead of nesting a fresh per-campaign pool
  * inside every grid cell.
  *
- * Three properties make the full 10x4 grid tractable:
+ * Four properties make the full 10x4 grid tractable:
  *
  *  - **Golden-run cache.**  The fault-free reference simulation (which is
  *    also the ACE-instrumented run) executes once per (workload, GPU,
  *    workloadSeed) cell; every campaign shard of that cell adopts its
  *    golden cycle count instead of re-simulating.
+ *  - **Bounded cell admission.**  After the golden wave, cells with a
+ *    shard to execute are admitted longest golden run first (ties in
+ *    grid order), at most `jobs` at a time.  Admitting a cell submits
+ *    one pool task that records the cell's checkpoint pack; only then
+ *    are the cell's shards submitted, so no worker waits on another
+ *    worker's pack.  The pack is freed when the cell's last campaign
+ *    finishes, which admits the next cell: at most `jobs` packs are
+ *    alive at once, whatever the grid size.
  *  - **Checkpoint/resume.**  Completed shards stream as JSONL records to
  *    an append-only results store; a restarted study loads the store and
  *    skips every shard whose identity (workload, GPU, structure, shard
@@ -88,12 +96,17 @@ struct StudyProgress
     std::uint64_t injectionsExecuted = 0;
     /** Checkpoint packs recorded (one per cell that ran any shard). */
     std::size_t checkpointPacks = 0;
+    /** Worker-seconds spent in pack-build tasks. */
+    double packBuildSeconds = 0.0;
+    /** Most packs alive at once; at most `jobs` by construction. */
+    std::size_t peakLivePacks = 0;
     /** Peak resident bytes across recorded packs (delta-encoded: one
      *  baseline plus dirty pages per checkpoint) and what the same
      *  checkpoint cycles would have cost as full v1 snapshots. */
     std::size_t peakPackBytes = 0;
     std::size_t peakPackFullBytes = 0;
-    /** Aggregate worker-seconds across executed shards. */
+    /** Aggregate worker-seconds across executed shards (injection only:
+     *  pack builds are counted in @ref packBuildSeconds). */
     double shardBusySeconds = 0.0;
     /** Aggregate per-phase injection-engine breakdown across executed
      *  shards (per-worker injectors merged at shard completion under

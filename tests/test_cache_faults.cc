@@ -262,8 +262,9 @@ TEST(CacheFaults, DifferentialAcrossEnginesAllBehaviors)
                                   InjectionShortcut::DeadWindow);
                         EXPECT_NE(b.shortcut,
                                   InjectionShortcut::ValueResidency);
-                        if (b.shortcut != InjectionShortcut::None)
+                        if (b.shortcut != InjectionShortcut::None) {
                             EXPECT_EQ(b.outcome, FaultOutcome::Masked);
+                        }
                     } else {
                         EXPECT_EQ(b.shortcut, InjectionShortcut::None);
                     }

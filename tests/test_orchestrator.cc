@@ -9,6 +9,7 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/random.hh"
@@ -410,6 +411,143 @@ TEST(Orchestrator, WallSecondsAggregateWithoutDoubleCounting)
     EXPECT_NEAR(total, progress.shardBusySeconds,
                 1e-9 * std::max(1.0, progress.shardBusySeconds));
     EXPECT_EQ(result.claims().fiSecondsTotal, total);
+}
+
+StudySpec
+admissionSpec(std::vector<std::string> workloads)
+{
+    return StudySpecBuilder()
+        .workloads(std::move(workloads))
+        .gpu(GpuModel::QuadroFx5600)
+        .structure(TargetStructure::VectorRegisterFile)
+        .injections(12)
+        .shardsPerCampaign(3)
+        .verbose(false)
+        .build();
+}
+
+TEST(Orchestrator, AdmissionBoundsLivePacksByJobs)
+{
+    // Four cells, fewer slots than cells at every job count: a pack is
+    // only built for an admitted cell and freed before the next one is
+    // admitted, so no more than `jobs` packs are ever alive.
+    StudySpec spec =
+        admissionSpec({"vectoradd", "reduction", "scan", "histogram"});
+    StudyResult reference;
+    for (unsigned jobs : {1u, 2u, 3u}) {
+        spec.jobs = jobs;
+        StudyProgress progress;
+        const StudyResult result = runStudy(spec, &progress);
+        EXPECT_EQ(progress.checkpointPacks, 4u) << "jobs " << jobs;
+        EXPECT_GE(progress.peakLivePacks, 1u) << "jobs " << jobs;
+        EXPECT_LE(progress.peakLivePacks, jobs) << "jobs " << jobs;
+        EXPECT_GT(progress.packBuildSeconds, 0.0) << "jobs " << jobs;
+        EXPECT_EQ(progress.executedShards, 12u) << "jobs " << jobs;
+        if (jobs == 1)
+            reference = result;
+        else
+            expectIdenticalReports(reference, result);
+    }
+
+    // The legacy engine records no packs at all.
+    spec.checkpoints = 0;
+    StudyProgress legacy;
+    expectIdenticalReports(reference, runStudy(spec, &legacy));
+    EXPECT_EQ(legacy.checkpointPacks, 0u);
+    EXPECT_EQ(legacy.peakLivePacks, 0u);
+    EXPECT_EQ(legacy.packBuildSeconds, 0.0);
+}
+
+TEST(Orchestrator, ResumedCellsBuildNoPack)
+{
+    const std::string path = tempStorePath("admission");
+    StudySpec spec = admissionSpec({"vectoradd", "reduction", "scan"});
+    spec.jobs = 2;
+    spec.storePath = path;
+    StudyProgress full_progress;
+    const StudyResult full = runStudy(spec, &full_progress);
+    ASSERT_EQ(full_progress.checkpointPacks, 3u);
+
+    // Keep every vectoradd record (that cell is fully covered) and one
+    // reduction record (that cell still has shards to run).
+    const auto lines = storeLines(path);
+    ASSERT_EQ(lines.size(), 10u); // spec header + 9 records
+    std::size_t kept_reduction = 0;
+    {
+        std::ofstream out(path, std::ios::trunc);
+        out << lines.front() << '\n';
+        for (std::size_t i = 1; i < lines.size(); ++i) {
+            ShardRecord r;
+            ASSERT_TRUE(parseShardRecord(lines[i], r));
+            if (r.key.workload == "vectoradd" ||
+                (r.key.workload == "reduction" && kept_reduction++ == 0))
+                out << lines[i] << '\n';
+        }
+    }
+
+    spec.resume = true;
+    StudyProgress resumed_progress;
+    const StudyResult resumed = runStudy(spec, &resumed_progress);
+    EXPECT_EQ(resumed_progress.resumedShards, 4u);
+    EXPECT_EQ(resumed_progress.executedShards, 5u);
+    EXPECT_EQ(resumed_progress.checkpointPacks, 2u);
+    expectIdenticalReports(full, resumed);
+
+    // Now the store covers every cell: nothing runs, no pack is built.
+    StudyProgress third_progress;
+    const StudyResult third = runStudy(spec, &third_progress);
+    EXPECT_EQ(third_progress.executedShards, 0u);
+    EXPECT_EQ(third_progress.checkpointPacks, 0u);
+    EXPECT_EQ(third_progress.peakLivePacks, 0u);
+    expectIdenticalReports(full, third);
+    std::remove(path.c_str());
+}
+
+TEST(Orchestrator, AdaptiveStoppingPointsIgnoreAdmissionOrder)
+{
+    // Longest-first admission reorders the cells' execution; the
+    // stopping rule reads only each campaign's ordered prefix, so the
+    // stopping points and every interval stay bit-identical.
+    StudySpec spec = StudySpecBuilder()
+                         .workloads({"vectoradd", "reduction", "scan",
+                                     "histogram"})
+                         .gpu(GpuModel::QuadroFx5600)
+                         .structures({TargetStructure::VectorRegisterFile,
+                                      TargetStructure::SimtStack})
+                         .margin(0.1)
+                         .confidence(0.9)
+                         .maxInjections(200)
+                         .verbose(false)
+                         .build();
+    spec.jobs = 1;
+    StudyProgress serial_progress;
+    const StudyResult serial = runStudy(spec, &serial_progress);
+    spec.jobs = 3;
+    StudyProgress wide_progress;
+    const StudyResult wide = runStudy(spec, &wide_progress);
+
+    EXPECT_GT(serial_progress.prunedShards, 0u)
+        << "spec unexpectedly ran to its cap everywhere";
+    EXPECT_EQ(serial_progress.prunedShards, wide_progress.prunedShards);
+    EXPECT_EQ(serial_progress.injectionsExecuted,
+              wide_progress.injectionsExecuted);
+    EXPECT_LE(wide_progress.peakLivePacks, 3u);
+    expectIdenticalReports(serial, wide);
+    ASSERT_EQ(serial.reports.size(), wide.reports.size());
+    for (std::size_t i = 0; i < serial.reports.size(); ++i) {
+        for (std::size_t k = 0; k < serial.reports[i].structures.size();
+             ++k) {
+            const StructureReport& a = serial.reports[i].structures[k];
+            const StructureReport& b = wide.reports[i].structures[k];
+            EXPECT_EQ(a.achievedMargin, b.achievedMargin);
+            EXPECT_EQ(a.avfCi.lo, b.avfCi.lo);
+            EXPECT_EQ(a.avfCi.hi, b.avfCi.hi);
+            EXPECT_EQ(a.sdcCi.lo, b.sdcCi.lo);
+            EXPECT_EQ(a.sdcCi.hi, b.sdcCi.hi);
+            EXPECT_EQ(a.dueCi.lo, b.dueCi.lo);
+            EXPECT_EQ(a.dueCi.hi, b.dueCi.hi);
+        }
+    }
 }
 
 TEST(ShardStore, RecordRoundTrips)

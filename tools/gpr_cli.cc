@@ -267,7 +267,8 @@ cmdStudy(int argc, char** argv)
                  progress.shardBusySeconds);
     std::fprintf(stderr,
                  "study: %llu injections at %.1f/s wall "
-                 "(%.1f/worker-s, %zu checkpoint packs)\n",
+                 "(%.1f/worker-s, %zu checkpoint packs built in "
+                 "%.2f worker-s, at most %zu alive at once)\n",
                  static_cast<unsigned long long>(
                      progress.injectionsExecuted),
                  progress.injectionsPerSecond(),
@@ -275,7 +276,8 @@ cmdStudy(int argc, char** argv)
                      ? static_cast<double>(progress.injectionsExecuted) /
                            progress.shardBusySeconds
                      : 0.0,
-                 progress.checkpointPacks);
+                 progress.checkpointPacks, progress.packBuildSeconds,
+                 progress.peakLivePacks);
     return 0;
 }
 
