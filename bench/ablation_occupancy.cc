@@ -14,6 +14,7 @@
 
 #include <iostream>
 
+#include "common/logging.hh"
 #include "common/string_utils.hh"
 #include "common/table.hh"
 #include "core/bench_cli.hh"
@@ -63,10 +64,8 @@ sweep(const BenchCli& cli, const std::string& label,
     table.render(std::cout);
 }
 
-} // namespace
-
 int
-main(int argc, char** argv)
+run(int argc, char** argv)
 {
     BenchCli cli;
     if (!cli.parse(argc, argv))
@@ -104,4 +103,12 @@ main(int argc, char** argv)
         sweep(cli, "RF size", configs, tags);
     }
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char** argv)
+{
+    return gpr::runToolMain(run, argc, argv);
 }

@@ -10,6 +10,7 @@
 
 #include <iostream>
 
+#include "common/logging.hh"
 #include "common/string_utils.hh"
 #include "common/table.hh"
 #include "core/bench_cli.hh"
@@ -17,8 +18,10 @@
 #include "reliability/campaign.hh"
 #include "workloads/workloads.hh"
 
+namespace {
+
 int
-main(int argc, char** argv)
+run(int argc, char** argv)
 {
     using namespace gpr;
 
@@ -78,4 +81,12 @@ main(int argc, char** argv)
     if (cli.csv)
         table.renderCsv(std::cout);
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char** argv)
+{
+    return gpr::runToolMain(run, argc, argv);
 }

@@ -35,6 +35,7 @@
 #include <string>
 #include <vector>
 
+#include "common/logging.hh"
 #include "core/bench_cli.hh"
 #include "core/comparison.hh"
 #include "core/orchestrator.hh"
@@ -78,10 +79,8 @@ overlap(const Interval& a, const Interval& b)
     return std::max(a.lo, b.lo) <= std::min(a.hi, b.hi);
 }
 
-} // namespace
-
 int
-main(int argc, char** argv)
+run(int argc, char** argv)
 {
     BenchCli cli;
     if (!cli.parse(argc, argv))
@@ -216,4 +215,12 @@ main(int argc, char** argv)
         return 1;
     }
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char** argv)
+{
+    return gpr::runToolMain(run, argc, argv);
 }

@@ -12,14 +12,17 @@
 
 #include <iostream>
 
+#include "common/logging.hh"
 #include "common/string_utils.hh"
 #include "common/table.hh"
 #include "core/bench_cli.hh"
 #include "reliability/breakdown.hh"
 #include "workloads/workloads.hh"
 
+namespace {
+
 int
-main(int argc, char** argv)
+run(int argc, char** argv)
 {
     using namespace gpr;
 
@@ -91,4 +94,12 @@ main(int argc, char** argv)
         phases.render(std::cout);
     }
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char** argv)
+{
+    return gpr::runToolMain(run, argc, argv);
 }

@@ -16,11 +16,14 @@
 
 #include <iostream>
 
+#include "common/logging.hh"
 #include "core/bench_cli.hh"
 #include "core/export.hh"
 
+namespace {
+
 int
-main(int argc, char** argv)
+run(int argc, char** argv)
 {
     gpr::BenchCli cli;
     if (!cli.parse(argc, argv))
@@ -43,4 +46,12 @@ main(int argc, char** argv)
         table.renderCsv(std::cout);
     study.printClaims(std::cout);
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char** argv)
+{
+    return gpr::runToolMain(run, argc, argv);
 }

@@ -14,12 +14,15 @@
 
 #include <iostream>
 
+#include "common/logging.hh"
 #include "core/bench_cli.hh"
 #include "core/export.hh"
 #include "workloads/workloads.hh"
 
+namespace {
+
 int
-main(int argc, char** argv)
+run(int argc, char** argv)
 {
     gpr::BenchCli cli;
     if (!cli.parse(argc, argv))
@@ -48,4 +51,12 @@ main(int argc, char** argv)
         table.renderCsv(std::cout);
     study.printClaims(std::cout);
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char** argv)
+{
+    return gpr::runToolMain(run, argc, argv);
 }

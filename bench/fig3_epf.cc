@@ -17,11 +17,14 @@
 #include <cstring>
 #include <iostream>
 
+#include "common/logging.hh"
 #include "core/bench_cli.hh"
 #include "core/export.hh"
 
+namespace {
+
 int
-main(int argc, char** argv)
+run(int argc, char** argv)
 {
     gpr::BenchCli cli;
     // ACE-based unless the user explicitly chooses a campaign — either
@@ -55,4 +58,12 @@ main(int argc, char** argv)
     if (cli.csv)
         table.renderCsv(std::cout);
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char** argv)
+{
+    return gpr::runToolMain(run, argc, argv);
 }

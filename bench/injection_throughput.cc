@@ -440,10 +440,5 @@ main(int argc, char** argv)
 {
     // Bad names in the list flags surface as FatalError: report them
     // like a usage error instead of aborting.
-    try {
-        return run(argc, argv);
-    } catch (const FatalError& e) {
-        std::fprintf(stderr, "error: %s\n", e.what());
-        return 2;
-    }
+    return gpr::runToolMain(run, argc, argv);
 }

@@ -13,12 +13,15 @@
 
 #include <iostream>
 
+#include "common/logging.hh"
 #include "common/string_utils.hh"
 #include "common/table.hh"
 #include "core/framework.hh"
 
+namespace {
+
 int
-main(int argc, char** argv)
+run(int argc, char** argv)
 {
     using namespace gpr;
 
@@ -66,4 +69,12 @@ main(int argc, char** argv)
                  "overestimate); for local memory the two agree — see "
                  "bench/fig2.\n";
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char** argv)
+{
+    return gpr::runToolMain(run, argc, argv);
 }

@@ -10,12 +10,15 @@
 
 #include <iostream>
 
+#include "common/logging.hh"
 #include "common/string_utils.hh"
 #include "common/table.hh"
 #include "core/orchestrator.hh"
 
+namespace {
+
 int
-main(int argc, char** argv)
+run(int argc, char** argv)
 {
     using namespace gpr;
 
@@ -61,4 +64,12 @@ main(int argc, char** argv)
               << " injections/structure)\n";
     table.render(std::cout);
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char** argv)
+{
+    return gpr::runToolMain(run, argc, argv);
 }

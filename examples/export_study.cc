@@ -16,12 +16,15 @@
 #include <iostream>
 #include <string>
 
+#include "common/logging.hh"
 #include "common/string_utils.hh"
 #include "core/export.hh"
 #include "core/orchestrator.hh"
 
+namespace {
+
 int
-main(int argc, char** argv)
+run(int argc, char** argv)
 {
     using namespace gpr;
 
@@ -64,4 +67,12 @@ main(int argc, char** argv)
               << spec_path << " (" << study.reports.size()
               << " cells, spec " << spec.campaignHashHex() << ")\n";
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char** argv)
+{
+    return gpr::runToolMain(run, argc, argv);
 }

@@ -15,13 +15,16 @@
 
 #include <iostream>
 
+#include "common/logging.hh"
 #include "common/string_utils.hh"
 #include "common/table.hh"
 #include "core/framework.hh"
 #include "reliability/protection.hh"
 
+namespace {
+
 int
-main(int argc, char** argv)
+run(int argc, char** argv)
 {
     using namespace gpr;
 
@@ -90,4 +93,12 @@ main(int argc, char** argv)
     std::cout << "note: EPF gain trades against the per-scheme execution "
                  "overhead (parity 1%, ECC 3%).\n";
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char** argv)
+{
+    return gpr::runToolMain(run, argc, argv);
 }

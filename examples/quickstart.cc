@@ -11,11 +11,14 @@
 #include <cstdio>
 #include <iostream>
 
+#include "common/logging.hh"
 #include "common/string_utils.hh"
 #include "core/framework.hh"
 
+namespace {
+
 int
-main(int argc, char** argv)
+run(int argc, char** argv)
 {
     using namespace gpr;
 
@@ -45,4 +48,12 @@ main(int argc, char** argv)
     const ReliabilityReport report = framework.analyze(workload, spec);
     report.printSummary(std::cout);
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char** argv)
+{
+    return gpr::runToolMain(run, argc, argv);
 }

@@ -42,6 +42,13 @@ popcount(Word w)
     return static_cast<unsigned>(__builtin_popcountll(w));
 }
 
+/** Index of the lowest set bit of @p w, which must be nonzero. */
+constexpr unsigned
+lowestSetBit(Word w)
+{
+    return static_cast<unsigned>(__builtin_ctz(w));
+}
+
 /** Integer ceiling division. */
 template <typename T>
 constexpr T

@@ -34,4 +34,15 @@ setInformEnabled(bool enabled)
     inform_enabled.store(enabled, std::memory_order_relaxed);
 }
 
+int
+runToolMain(int (*body)(int, char**), int argc, char** argv)
+{
+    try {
+        return body(argc, argv);
+    } catch (const FatalError& e) {
+        std::fprintf(stderr, "error: %s\n", e.what());
+        return 2;
+    }
+}
+
 } // namespace gpr

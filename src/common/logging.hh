@@ -91,6 +91,13 @@ inform(Args&&... args)
 void setInformEnabled(bool enabled);
 
 /**
+ * Run a command-line tool's main body: a FatalError escaping it (a bad
+ * workload, GPU or spec name, ...) prints "error: <message>" on stderr
+ * and yields exit status 2 instead of aborting the process.
+ */
+int runToolMain(int (*body)(int, char**), int argc, char** argv);
+
+/**
  * Internal invariant check.  Unlike assert(), stays on in release builds:
  * reliability numbers must never be produced by a silently-broken simulator.
  */

@@ -98,6 +98,9 @@ struct StudyProgress
     std::size_t checkpointPacks = 0;
     /** Worker-seconds spent in pack-build tasks. */
     double packBuildSeconds = 0.0;
+    /** The recorded packs' build seconds split into pass A, placement
+     *  and pass B (their sum is within packBuildSeconds). */
+    PackBuildSeconds packPhaseSeconds;
     /** Most packs alive at once; at most `jobs` by construction. */
     std::size_t peakLivePacks = 0;
     /** Peak resident bytes across recorded packs (delta-encoded: one

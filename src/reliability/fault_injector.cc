@@ -1,8 +1,8 @@
 #include "reliability/fault_injector.hh"
 
 // gpr:lint-allow-file(D1): timing whitelist — PhaseClock reads feed only
-// the InjectionPhaseStats seconds diagnostics, never outcomes, hashes,
-// or RNG draws.
+// the InjectionPhaseStats and PackBuildSeconds diagnostics, never
+// outcomes, hashes, or RNG draws.
 
 #include <algorithm>
 #include <chrono>
@@ -122,6 +122,7 @@ FaultInjector::buildCheckpointPack(unsigned checkpoints,
 
     // Pass A: observability windows + golden trajectory hashes.  No
     // checkpoints yet — the fault-aware placer needs the windows first.
+    const auto pass_a_start = PhaseClock::now();
     CheckpointRecorder hash_recorder;
     FaultWindowRecorder window_recorder(config_);
     RunOptions pass_a;
@@ -135,8 +136,10 @@ FaultInjector::buildCheckpointPack(unsigned checkpoints,
                "simulator is not deterministic");
     pack->hashes = std::move(hash_recorder.hashes);
     window_recorder.finalize(pack->windows);
+    pack->buildSeconds.passA = secondsSince(pass_a_start);
 
     // Distribute the checkpoint budget.
+    const auto placement_start = PhaseClock::now();
     CheckpointRecorder delta_recorder;
     delta_recorder.delta = true;
     if (placement == CheckpointPlacement::FaultAware) {
@@ -153,7 +156,10 @@ FaultInjector::buildCheckpointPack(unsigned checkpoints,
         }
     }
 
+    pack->buildSeconds.placement = secondsSince(placement_start);
+
     // Pass B: cycle-0 baseline + a delta checkpoint per placed cycle.
+    const auto pass_b_start = PhaseClock::now();
     RunOptions pass_b;
     pass_b.recorder = &delta_recorder;
     pass_b.hashInterval = pack->hashInterval;
@@ -167,6 +173,7 @@ FaultInjector::buildCheckpointPack(unsigned checkpoints,
     pack->deltas = std::move(delta_recorder.deltas);
     GPR_ASSERT(!pack->deltas.empty() && pack->deltas.front().now == 0,
                "delta recording lost its cycle-0 checkpoint");
+    pack->buildSeconds.passB = secondsSince(pass_b_start);
 
     adoptCheckpointPack(pack);
     return pack;

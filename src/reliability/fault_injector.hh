@@ -72,6 +72,25 @@ struct InjectionResult
     }
 };
 
+/** Wall-clock of one checkpoint-pack build, split by part (diagnostics
+ *  only: never feeds outcomes). */
+struct PackBuildSeconds
+{
+    /** Pass A: the windows + trajectory-hash recording run, plus
+     *  FaultWindowRecorder::finalize(). */
+    double passA = 0.0;
+    double placement = 0.0; ///< distributing the checkpoint budget
+    double passB = 0.0;     ///< the delta-checkpoint recording run
+
+    void
+    operator+=(const PackBuildSeconds& o)
+    {
+        passA += o.passA;
+        placement += o.placement;
+        passB += o.passB;
+    }
+};
+
 /**
  * One golden run's checkpoint pack (v2, delta-encoded): a single full
  * baseline at cycle 0 plus per-checkpoint dirty page sets against it,
@@ -99,6 +118,8 @@ struct CheckpointPack
     CheckpointPlacement placement = CheckpointPlacement::FaultAware;
     /** Exact per-word observability windows of the golden run. */
     FaultWindows windows;
+    /** Where the build's time went. */
+    PackBuildSeconds buildSeconds;
 
     /** Resident bytes of the checkpoint state (baseline + deltas). */
     std::size_t
@@ -198,6 +219,7 @@ class FaultInjector
      * then distributed over the run per @p placement (fault-aware uses
      * pass A's windows as the density model); pass B captures the
      * cycle-0 baseline plus a delta checkpoint at each placed cycle.
+     * The time of each part lands in CheckpointPack::buildSeconds.
      * Requires the golden cycle count (runs or adopts it first).
      * Returns the pack so sibling injectors of the same cell can adopt
      * it instead of re-recording.  @p checkpoints == 0 yields a

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/bitutils.hh"
 #include "common/logging.hh"
 
 namespace gpr {
@@ -16,7 +17,8 @@ namespace {
 constexpr std::size_t kMaxIntervals = std::size_t{1} << 24;
 
 /**
- * Safety cap on value-residency slots (256 B each — 64 MB at the cap).
+ * Safety cap on value-residency slots (256 B of agreeFrom stamps each —
+ * 64 MB at the cap).
  * Words past the cap fall back to kResidencyUnknown, i.e. the
  * stuck-at prefilter turns conservative for them individually while
  * every word below the cap keeps its exact thresholds.
@@ -91,15 +93,39 @@ FaultWindows::placeCheckpoints(const GpuConfig& config, Cycle goldenCycles,
         return {};
 
     // Observed-bit density histogram over the golden run.  Bucket k
-    // covers cycles [k*g/B, (k+1)*g/B); all weights live at the bucket
-    // granularity, which is plenty for placing a handful of checkpoints.
+    // covers cycles [lo[k], lo[k+1]) with lo[k] = k*g/B; all weights live
+    // at the bucket granularity, which is plenty for placing a handful
+    // of checkpoints.
     const std::size_t kBuckets =
         static_cast<std::size_t>(std::min<Cycle>(512, goldenCycles));
-    const auto bucket_lo = [&](std::size_t k) {
-        return goldenCycles * k / kBuckets;
+    std::vector<Cycle> lo(kBuckets + 1);
+    for (std::size_t k = 0; k <= kBuckets; ++k)
+        lo[k] = goldenCycles * k / kBuckets;
+    // The bucket of cycle c < g.  c*B/g can land one bucket short of
+    // the one lo[] defines, so estimate, then settle against lo[].
+    const double buckets_per_cycle =
+        static_cast<double>(kBuckets) / static_cast<double>(goldenCycles);
+    const auto bucket_of = [&](Cycle c) {
+        std::size_t k = std::min(
+            kBuckets - 1,
+            static_cast<std::size_t>(static_cast<double>(c) *
+                                     buckets_per_cycle));
+        while (lo[k] > c)
+            --k;
+        while (lo[k + 1] <= c)
+            ++k;
+        return k;
     };
-    std::vector<double> weight(kBuckets, 0.0);
 
+    // Weights are integers (observed bit-cycles), so they are summed
+    // exactly in integers and converted once: the double each bucket
+    // gets does not depend on the order of the sum.  An interval adds
+    // its partial first and last buckets directly and marks the buckets
+    // it fully covers in a difference array, so the histogram costs
+    // O(intervals + buckets) whatever the intervals' lengths.
+    std::vector<std::uint64_t> observed_cycles(kBuckets, 0);
+    std::vector<std::int64_t> cover_delta(kBuckets + 1, 0);
+    std::uint64_t uniform_bits = 0;
     for (const StructureSpec& spec : structureRegistry()) {
         const std::uint64_t bits_per_sm = spec.bitsPerSm(config);
         if (bits_per_sm == 0)
@@ -108,34 +134,38 @@ FaultWindows::placeCheckpoints(const GpuConfig& config, Cycle goldenCycles,
             // 32 observable bits per word-interval cycle.
             const StructureWindows& w = forStructure(spec.id);
             for (const Interval& iv : w.intervals) {
-                const Cycle lo = iv.begin;
-                const Cycle hi = std::min(iv.end, goldenCycles - 1);
-                if (lo > hi)
+                const Cycle first = iv.begin;
+                const Cycle last = std::min(iv.end, goldenCycles - 1);
+                if (first > last)
                     continue;
-                std::size_t k = lo * kBuckets / goldenCycles;
-                for (Cycle c = lo; c <= hi && k < kBuckets; ++k) {
-                    const Cycle next = bucket_lo(k + 1);
-                    const Cycle span = std::min<Cycle>(hi + 1, next) - c;
-                    // Single-threaded fold in fixed registry/interval
-                    // order — the order IS the spec.
-                    // gpr:lint-allow(D5): deterministic fixed-order fold
-                    weight[k] += 32.0 * static_cast<double>(span);
-                    c += span;
+                const std::size_t kf = bucket_of(first);
+                const std::size_t kl = bucket_of(last);
+                if (kf == kl) {
+                    observed_cycles[kf] += last + 1 - first;
+                    continue;
                 }
+                observed_cycles[kf] += lo[kf + 1] - first;
+                observed_cycles[kl] += last + 1 - lo[kl];
+                ++cover_delta[kf + 1];
+                --cover_delta[kl];
             }
         } else {
             // No prefilter for this structure: every bit needs
             // simulation at every cycle — uniform weight.
-            const double instances =
+            const std::uint64_t instances =
                 spec.scope == StructureScope::PerSm ? config.numSms : 1;
-            const double bits = static_cast<double>(bits_per_sm) *
-                                instances;
-            for (std::size_t k = 0; k < kBuckets; ++k) {
-                // gpr:lint-allow(D5): single-threaded, fixed order
-                weight[k] += bits * static_cast<double>(
-                                        bucket_lo(k + 1) - bucket_lo(k));
-            }
+            uniform_bits += bits_per_sm * instances;
         }
+    }
+    std::vector<double> weight(kBuckets);
+    std::int64_t covering = 0;
+    for (std::size_t k = 0; k < kBuckets; ++k) {
+        covering += cover_delta[k];
+        const std::uint64_t width = lo[k + 1] - lo[k];
+        weight[k] = static_cast<double>(
+            32 * (observed_cycles[k] +
+                  static_cast<std::uint64_t>(covering) * width) +
+            uniform_bits * width);
     }
 
     // Prefix sums of weight and weight*cycle (bucket midpoints), so the
@@ -143,15 +173,13 @@ FaultWindows::placeCheckpoints(const GpuConfig& config, Cycle goldenCycles,
     // start of bucket a is O(1).
     std::vector<double> s0(kBuckets + 1, 0.0), s1(kBuckets + 1, 0.0);
     for (std::size_t k = 0; k < kBuckets; ++k) {
-        const double mid =
-            0.5 * static_cast<double>(bucket_lo(k) + bucket_lo(k + 1));
+        const double mid = 0.5 * static_cast<double>(lo[k] + lo[k + 1]);
         s0[k + 1] = s0[k] + weight[k];
         s1[k + 1] = s1[k] + weight[k] * mid;
     }
     const auto segment_cost = [&](std::size_t a, std::size_t b) {
         // Sum over buckets [a, b) of weight * (midpoint - checkpoint).
-        return (s1[b] - s1[a]) -
-               static_cast<double>(bucket_lo(a)) * (s0[b] - s0[a]);
+        return (s1[b] - s1[a]) - static_cast<double>(lo[a]) * (s0[b] - s0[a]);
     };
 
     // DP: best[m][b] = min cost of buckets [0, b) using the implicit
@@ -188,7 +216,7 @@ FaultWindows::placeCheckpoints(const GpuConfig& config, Cycle goldenCycles,
         const std::uint32_t a = parent[m][b];
         if (a == 0)
             continue; // this checkpoint did not reduce the cost
-        cycles.push_back(bucket_lo(a));
+        cycles.push_back(lo[a]);
         b = a;
     }
     std::sort(cycles.begin(), cycles.end());
@@ -207,12 +235,18 @@ FaultWindowRecorder::FaultWindowRecorder(const GpuConfig& config)
         t.tracked = true;
         t.wordsPerSm =
             static_cast<std::uint32_t>(spec.aceUnitsPerSm(config));
-        const std::size_t total =
-            static_cast<std::size_t>(config.numSms) * t.wordsPerSm;
-        t.lastWrite.assign(total, 0);
-        t.perWord.resize(total);
-        t.residencySlot.assign(total, FaultWindows::kResidencyNeverRead);
+        t.words = static_cast<std::size_t>(config.numSms) * t.wordsPerSm;
+        t.blocks.resize((t.words + kBlockWords - 1) / kBlockWords);
     }
+}
+
+FaultWindowRecorder::WordState&
+FaultWindowRecorder::wordState(Tracker& t, std::size_t w)
+{
+    std::unique_ptr<WordState[]>& block = t.blocks[w >> kBlockBits];
+    if (!block)
+        block = std::make_unique<WordState[]>(kBlockWords);
+    return block[w & (kBlockWords - 1)];
 }
 
 void
@@ -220,44 +254,56 @@ FaultWindowRecorder::onRead(TargetStructure structure, SmId sm,
                             std::uint32_t word, Word value, Cycle cycle)
 {
     Tracker& t = tracker(structure);
-    if (!t.tracked)
+    // Past the interval cap finalize() discards everything, so stop
+    // recording (this also keeps log indices within 32 bits).
+    if (!t.tracked || total_intervals_ > kMaxIntervals)
         return;
     const std::size_t w =
         static_cast<std::size_t>(sm) * t.wordsPerSm + word;
-    GPR_ASSERT(w < t.perWord.size(), "observer word out of range");
-    auto& ivs = t.perWord[w];
-    const Cycle begin = t.lastWrite[w];
-    if (!ivs.empty() && begin <= ivs.back().end + 1) {
-        ivs.back().end = std::max(ivs.back().end, cycle);
+    GPR_ASSERT(w < t.words, "observer word out of range");
+    WordState& state = wordState(t, w);
+    FaultWindows::Interval* newest =
+        state.newest == kNoInterval ? nullptr : &t.log[state.newest].interval;
+    if (newest != nullptr && state.lastWrite <= newest->end + 1) {
+        newest->end = std::max(newest->end, cycle);
     } else {
-        ivs.push_back({begin, cycle});
+        state.newest = static_cast<std::uint32_t>(t.log.size());
+        LogEntry& e = t.log.append();
+        e.interval = {state.lastWrite, cycle};
+        e.word = static_cast<std::uint32_t>(w);
         ++total_intervals_;
     }
 
     // Value residency: this read observes `value`, so it disagrees with
     // stuck-at-1 in every 0 bit and with stuck-at-0 in every 1 bit; a
     // fault injected at or before this cycle in those (bit, value)
-    // pairs is not provably benign, i.e. agreeFrom advances to cycle+1.
-    std::uint32_t slot = t.residencySlot[w];
-    if (slot == FaultWindows::kResidencyNeverRead) {
-        if (total_residency_slots_ >= kMaxResidencySlots) {
-            t.residencySlot[w] = FaultWindows::kResidencyUnknown;
-            return;
-        }
-        ++total_residency_slots_;
-        slot = static_cast<std::uint32_t>(t.agreeFrom.size() / 64);
-        t.residencySlot[w] = slot;
-        t.agreeFrom.resize(t.agreeFrom.size() + 64, 0);
-    } else if (slot == FaultWindows::kResidencyUnknown) {
-        return;
-    }
+    // pairs is not provably benign.  The slot records that relative to
+    // the newest read (see the class comment).
     const std::uint32_t stamp =
         cycle + 1 >= FaultWindows::kResidencySaturated
             ? FaultWindows::kResidencySaturated
             : static_cast<std::uint32_t>(cycle + 1);
-    std::uint32_t* base = t.agreeFrom.data() + std::size_t{slot} * 64;
-    for (unsigned b = 0; b < 32; ++b)
-        base[(((value >> b) & 1u) ? 0 : 32) + b] = stamp;
+    if (state.slot == FaultWindows::kResidencyNeverRead) {
+        if (total_residency_slots_ >= kMaxResidencySlots) {
+            state.slot = FaultWindows::kResidencyUnknown;
+            return;
+        }
+        ++total_residency_slots_;
+        state.slot = static_cast<std::uint32_t>(t.slots.size());
+        ResidencySlot& slot = t.slots.append();
+        slot.value = value;
+        slot.stamp = stamp;
+        return;
+    }
+    if (state.slot == FaultWindows::kResidencyUnknown)
+        return;
+    ResidencySlot& slot = t.slots[state.slot];
+    for (Word changed = value ^ slot.value; changed != 0;
+         changed &= changed - 1) {
+        slot.differed[lowestSetBit(changed)] = slot.stamp;
+    }
+    slot.value = value;
+    slot.stamp = stamp;
 }
 
 void
@@ -269,11 +315,11 @@ FaultWindowRecorder::onWrite(TargetStructure structure, SmId sm,
         return;
     const std::size_t w =
         static_cast<std::size_t>(sm) * t.wordsPerSm + word;
-    GPR_ASSERT(w < t.lastWrite.size(), "observer word out of range");
+    GPR_ASSERT(w < t.words, "observer word out of range");
     // A flip lands at a cycle *start*; a write lands mid-cycle and
     // erases any flip from the same cycle, so observability windows
     // opened by later reads begin the following cycle.
-    t.lastWrite[w] = cycle + 1;
+    wordState(t, w).lastWrite = cycle + 1;
 }
 
 void
@@ -286,21 +332,54 @@ FaultWindowRecorder::finalize(FaultWindows& out)
     for (std::size_t s = 0; s < trackers_.size(); ++s) {
         Tracker& t = trackers_[s];
         FaultWindows::StructureWindows& w = out.windows_[s];
-        w.offsets.clear();
-        w.offsets.reserve(t.perWord.size() + 1);
-        w.intervals.clear();
-        w.offsets.push_back(0);
-        for (auto& ivs : t.perWord) {
-            w.intervals.insert(w.intervals.end(), ivs.begin(), ivs.end());
-            w.offsets.push_back(w.intervals.size());
-            ivs = {};
+
+        // CSR by a stable counting sort on the word.  Count each word's
+        // intervals into offsets[word + 1], turn the counts into start
+        // positions, then place the log in order, bumping offsets[word
+        // + 1] as the word's cursor: it ends at the word's end, which
+        // is the next word's start.
+        w.offsets.assign(t.words + 1, 0);
+        for (const auto& chunk : t.log.chunks()) {
+            for (const LogEntry& e : chunk)
+                ++w.offsets[e.word + 1];
         }
-        w.residencySlot = std::move(t.residencySlot);
-        w.agreeFrom = std::move(t.agreeFrom);
-        t.lastWrite = {};
-        t.perWord = {};
-        t.residencySlot = {};
-        t.agreeFrom = {};
+        std::uint64_t start = 0;
+        for (std::size_t i = 1; i <= t.words; ++i) {
+            const std::uint64_t count = w.offsets[i];
+            w.offsets[i] = start;
+            start += count;
+        }
+        w.intervals.resize(start);
+        for (const auto& chunk : t.log.chunks()) {
+            for (const LogEntry& e : chunk)
+                w.intervals[w.offsets[e.word + 1]++] = e.interval;
+        }
+
+        // Residency: the per-word slots, then each slot expanded into
+        // its 64 agreeFrom stamps (exact, see the class comment).
+        w.residencySlot.assign(t.words, FaultWindows::kResidencyNeverRead);
+        for (std::size_t b = 0; b < t.blocks.size(); ++b) {
+            if (!t.blocks[b])
+                continue;
+            const std::size_t first = b * kBlockWords;
+            const std::size_t n = std::min(kBlockWords, t.words - first);
+            for (std::size_t i = 0; i < n; ++i)
+                w.residencySlot[first + i] = t.blocks[b][i].slot;
+        }
+        w.agreeFrom.resize(t.slots.size() * 64);
+        std::uint32_t* base = w.agreeFrom.data();
+        for (const auto& chunk : t.slots.chunks()) {
+            for (const ResidencySlot& slot : chunk) {
+                for (unsigned b = 0; b < 32; ++b) {
+                    const bool one = ((slot.value >> b) & 1u) != 0;
+                    base[b] = one ? slot.stamp : slot.differed[b];
+                    base[32 + b] = one ? slot.differed[b] : slot.stamp;
+                }
+                base += 64;
+            }
+        }
+
+        t = Tracker{}; // free the working set
     }
     out.enabled_ = true;
 }

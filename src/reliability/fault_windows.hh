@@ -51,6 +51,7 @@
 
 #include <array>
 #include <cstdint>
+#include <memory>
 #include <string_view>
 #include <vector>
 
@@ -179,10 +180,35 @@ class FaultWindows
 };
 
 /**
- * The SimObserver that records windows during one golden pass.  Events
- * arrive in nondecreasing cycle order per word, so intervals are built
- * and merged in O(1) amortised per access.  finalize() flattens the
- * per-word lists into the CSR FaultWindows and frees the working set.
+ * The SimObserver that records windows during one golden pass.
+ *
+ * Events arrive in nondecreasing cycle order per word, so a read either
+ * extends its word's newest interval or opens a new one: O(1) per
+ * event.  Each tracked structure keeps
+ *  - one WordState per chip word (defining write, newest interval,
+ *    residency slot), so an event touches one cache line of per-word
+ *    state.  States live in blocks allocated on a block's first event,
+ *    so words the run never touches cost nothing;
+ *  - one append-only log of (word, interval) entries;
+ *  - one ResidencySlot per word read so far, up to a chip-wide cap.
+ * The log and the slots grow in fixed chunks, never copying what they
+ * hold.  finalize() builds the CSR FaultWindows from the log with a
+ * stable counting sort on the word (log order is time order, so each
+ * word's intervals stay in time order) and frees the working set.
+ *
+ * Residency is kept relative to the newest read.  A slot holds the
+ * newest read's value V and stamp S (cycle + 1, saturated to 32 bits)
+ * and, per bit b, the stamp D[b] of the last read whose bit b differed
+ * from V's.  A read of V' first sets D[b] = S wherever V' and V differ
+ * (the read being superseded is the newest one that disagrees with V'
+ * there) and leaves the other bits alone (a read disagreeing with V
+ * there also disagrees with V'); then V = V', S = its stamp.  So a read
+ * writes only the bits that changed.  finalize() expands a slot into
+ * the [value*32 + bit] agreeFrom layout: the last read that disagrees
+ * with stuck-at-v in bit b is the newest read when V's bit b differs
+ * from v (stamp S), else the last read that differed from V there
+ * (stamp D[b]).  Both are stamps of that very read, so the expansion
+ * is exact.
  */
 class FaultWindowRecorder : public SimObserver
 {
@@ -198,23 +224,94 @@ class FaultWindowRecorder : public SimObserver
     void finalize(FaultWindows& out);
 
   private:
+    /** WordState::newest of a word without intervals. */
+    static constexpr std::uint32_t kNoInterval = 0xFFFFFFFFu;
+    /** Words per WordState block (a power of two). */
+    static constexpr unsigned kBlockBits = 8;
+    static constexpr std::size_t kBlockWords = std::size_t{1}
+                                               << kBlockBits;
+
+    /** Append-only storage in chunks of 2^12 elements: growth never
+     *  moves or copies what is stored. */
+    template <typename T>
+    class Chunked
+    {
+      public:
+        std::size_t size() const { return size_; }
+
+        T&
+        operator[](std::size_t i)
+        {
+            return chunks_[i >> kChunkBits][i & (kChunkSize - 1)];
+        }
+
+        T&
+        append()
+        {
+            if (size_ % kChunkSize == 0) {
+                chunks_.emplace_back();
+                chunks_.back().reserve(kChunkSize);
+            }
+            ++size_;
+            return chunks_.back().emplace_back();
+        }
+
+        const std::vector<std::vector<T>>& chunks() const { return chunks_; }
+
+      private:
+        static constexpr unsigned kChunkBits = 12;
+        static constexpr std::size_t kChunkSize = std::size_t{1}
+                                                  << kChunkBits;
+        std::vector<std::vector<T>> chunks_;
+        std::size_t size_ = 0;
+    };
+
+    /** Everything one event reads or writes about its word. */
+    struct WordState
+    {
+        Cycle lastWrite = 0;                ///< next observable start cycle
+        std::uint32_t newest = kNoInterval; ///< log index of newest interval
+        /** Index into slots, or a FaultWindows residency sentinel. */
+        std::uint32_t slot = FaultWindows::kResidencyNeverRead;
+    };
+
+    struct LogEntry
+    {
+        FaultWindows::Interval interval;
+        std::uint32_t word = 0; ///< chip-global word
+    };
+
+    /** A word's value residency relative to its newest read. */
+    struct ResidencySlot
+    {
+        Word value = 0;          ///< V: the newest read's value
+        std::uint32_t stamp = 0; ///< S: the newest read's stamp
+        /** D: per bit, the stamp of the last read whose bit differed
+         *  from V's (0 = none). */
+        std::array<std::uint32_t, 32> differed{};
+    };
+
     struct Tracker
     {
         /** False for structures without exact windows (control bits):
          *  their events are ignored and no intervals are recorded. */
         bool tracked = false;
         std::uint32_t wordsPerSm = 0;
-        std::vector<Cycle> lastWrite; ///< next observable start cycle
-        std::vector<std::vector<FaultWindows::Interval>> perWord;
-        /** Per word: agreeFrom slot (lazily allocated on first read). */
-        std::vector<std::uint32_t> residencySlot;
-        std::vector<std::uint32_t> agreeFrom; ///< 64 stamps per slot
+        std::size_t words = 0; ///< chip-wide
+        /** kBlockWords states per block; null until first touched. */
+        std::vector<std::unique_ptr<WordState[]>> blocks;
+        Chunked<LogEntry> log;
+        Chunked<ResidencySlot> slots;
     };
 
     Tracker& tracker(TargetStructure s)
     {
         return trackers_[static_cast<std::size_t>(s)];
     }
+
+    /** The state of chip-global word @p w of @p t, allocating its
+     *  block on first touch. */
+    static WordState& wordState(Tracker& t, std::size_t w);
 
     std::array<Tracker, kNumTargetStructures> trackers_;
     std::size_t total_intervals_ = 0;

@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "reliability/campaign.hh"
 #include "reliability/fault_injector.hh"
 #include "sim/storage.hh"
@@ -399,6 +401,43 @@ TEST(Checkpoint, PlacementInvariantCampaignCounts)
     EXPECT_EQ(a.masked, b.masked);
     EXPECT_EQ(a.sdc, b.sdc);
     EXPECT_EQ(a.due, b.due);
+}
+
+/**
+ * Pinned fault-aware placement: the delta checkpoint cycles of a
+ * 16-checkpoint pack on two full-size cells.  These are the cells where
+ * a histogram that puts a cycle c in bucket c*B/g instead of the bucket
+ * the boundaries k*g/B define (one short, at some boundaries) moves
+ * checkpoints, so a placement rewrite that slips shows here.
+ */
+TEST(Checkpoint, FaultAwarePlacementPinned)
+{
+    const struct
+    {
+        GpuModel gpu;
+        const char* workload;
+        std::vector<Cycle> cycles;
+    } kCells[] = {
+        {GpuModel::HdRadeon7970,
+         "histogram",
+         {0, 146, 288, 435, 582, 729, 876, 1022, 1169, 1316, 1463, 1610,
+          1757, 1903, 2050, 2197, 2349}},
+        {GpuModel::GeforceGtx480,
+         "dwtHaar1D",
+         {0, 99, 192, 286, 379, 475, 569, 665, 761, 855, 948, 1044, 1138,
+          1234, 1330, 1430, 1536}},
+    };
+    for (const auto& cell : kCells) {
+        const GpuConfig& cfg = gpuConfig(cell.gpu);
+        const WorkloadInstance inst = buildFor(cfg, cell.workload);
+        FaultInjector injector(cfg, inst);
+        const auto pack = injector.buildCheckpointPack(16);
+        std::vector<Cycle> cycles;
+        for (const GpuCheckpointDelta& d : pack->deltas)
+            cycles.push_back(d.now);
+        EXPECT_EQ(cycles, cell.cycles)
+            << gpuShortName(cell.gpu) << "/" << cell.workload;
+    }
 }
 
 /** The campaign path: checkpoints on vs off is count-for-count equal. */

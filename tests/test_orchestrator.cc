@@ -442,6 +442,13 @@ TEST(Orchestrator, AdmissionBoundsLivePacksByJobs)
         EXPECT_GE(progress.peakLivePacks, 1u) << "jobs " << jobs;
         EXPECT_LE(progress.peakLivePacks, jobs) << "jobs " << jobs;
         EXPECT_GT(progress.packBuildSeconds, 0.0) << "jobs " << jobs;
+        // The per-part split is timed inside each build task.
+        const PackBuildSeconds& split = progress.packPhaseSeconds;
+        EXPECT_GT(split.passA, 0.0) << "jobs " << jobs;
+        EXPECT_GT(split.passB, 0.0) << "jobs " << jobs;
+        EXPECT_LE(split.passA + split.placement + split.passB,
+                  progress.packBuildSeconds)
+            << "jobs " << jobs;
         EXPECT_EQ(progress.executedShards, 12u) << "jobs " << jobs;
         if (jobs == 1)
             reference = result;
@@ -456,6 +463,7 @@ TEST(Orchestrator, AdmissionBoundsLivePacksByJobs)
     EXPECT_EQ(legacy.checkpointPacks, 0u);
     EXPECT_EQ(legacy.peakLivePacks, 0u);
     EXPECT_EQ(legacy.packBuildSeconds, 0.0);
+    EXPECT_EQ(legacy.packPhaseSeconds.passA, 0.0);
 }
 
 TEST(Orchestrator, ResumedCellsBuildNoPack)

@@ -278,6 +278,12 @@ cmdStudy(int argc, char** argv)
                      : 0.0,
                  progress.checkpointPacks, progress.packBuildSeconds,
                  progress.peakLivePacks);
+    std::fprintf(stderr,
+                 "study: pack build split: pass A %.2f s, placement "
+                 "%.2f s, pass B %.2f s\n",
+                 progress.packPhaseSeconds.passA,
+                 progress.packPhaseSeconds.placement,
+                 progress.packPhaseSeconds.passB);
     return 0;
 }
 
