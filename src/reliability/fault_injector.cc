@@ -6,8 +6,10 @@
 
 #include <algorithm>
 #include <chrono>
+#include <optional>
 
 #include "common/logging.hh"
+#include "sim/cache.hh"
 #include "sim/structure_registry.hh"
 
 namespace gpr {
@@ -29,6 +31,25 @@ chooseHashInterval(Cycle golden_cycles, std::uint64_t state_words)
     const Cycle by_run = golden_cycles / 256;
     const Cycle by_state = static_cast<Cycle>(state_words / 2048);
     return std::max<Cycle>(1, std::max(by_run, by_state));
+}
+
+/**
+ * The chip-wide unit whose golden windows decide transient @p fault in
+ * @p spec, or nullopt when no exact window covers every faulted bit.
+ * In word storage the aligned pattern group lies inside the sampled
+ * bit's word; in a cache it must lie inside one data word.
+ */
+std::optional<std::uint64_t>
+deadWindowUnit(const GpuConfig& config, const StructureSpec& spec,
+               const FaultSpec& fault)
+{
+    if (!spec.exactDeadWindows)
+        return std::nullopt;
+    if (spec.kind != StructureKind::CacheArray)
+        return fault.bitIndex / 32;
+    const unsigned width = faultPatternWidth(fault.pattern);
+    return cacheDataUnit(config.cacheLineWords(),
+                         fault.bitIndex - fault.bitIndex % width, width);
 }
 
 using PhaseClock = std::chrono::steady_clock;
@@ -208,19 +229,23 @@ FaultInjector::inject(const FaultSpec& fault)
     const bool persistent = fault.persistent();
 
     // The dead-window prefilter exists only for *transient* faults in
-    // word-granular storage: control-bit structures (predicate file,
-    // SIMT stack) act on the trajectory without a modelled read, and a
-    // persistent fault's word is never dead while the forcing holds
-    // (the next read re-manifests it regardless of golden liveness).
-    // Multi-bit patterns stay in scope: the aligned group lies inside
-    // the sampled bit's word, so one window query covers every bit.
+    // word storage and cache data words: control-bit structures
+    // (predicate file, SIMT stack) and cache metadata act on the
+    // trajectory without a modelled read, and a persistent fault's word
+    // is never dead while the forcing holds (the next read re-manifests
+    // it regardless of golden liveness).  Multi-bit patterns stay in
+    // scope when the aligned group lies inside one word, so one window
+    // query covers every bit.  The residency prefilter needs a read
+    // overlay: it is sound only where forcing leaves the raw word alone.
     ++phase_stats_.injections;
     Cycle converge_min = 0; // persistent early-out threshold (0 = none)
-    if (pack_ && structureSpec(fault.structure).exactDeadWindows) {
-        if (!persistent) {
+    const StructureSpec& spec = structureSpec(fault.structure);
+    if (pack_ && !persistent) {
+        if (const std::optional<std::uint64_t> unit =
+                deadWindowUnit(config_, spec, fault)) {
             const auto t0 = PhaseClock::now();
-            const bool observed = pack_->windows.observed(
-                fault.structure, fault.bitIndex / 32, fault.cycle);
+            const bool observed =
+                pack_->windows.observed(fault.structure, *unit, fault.cycle);
             phase_stats_.prefilterSeconds += secondsSince(t0);
             if (!observed) {
                 // The golden run never reads this word between the flip
@@ -235,39 +260,38 @@ FaultInjector::inject(const FaultSpec& fault)
                 result.shortcut = InjectionShortcut::DeadWindow;
                 return result;
             }
-        } else {
-            // Value-residency prefilter: the read overlay never mutates
-            // the raw word, so the fault reaches computation only
-            // through reads whose observed value the forcing *changes*.
-            // agree is the first cycle from which every remaining
-            // golden read of the faulted bits observes the forced value
-            // (exact for word storage; intermittent faults force the
-            // same value whenever active, so agreement over all reads
-            // covers every duty cycle).
-            const auto t0 = PhaseClock::now();
-            const unsigned width = faultPatternWidth(fault.pattern);
-            const auto bit_in_word =
-                static_cast<unsigned>(fault.bitIndex % 32);
-            const Cycle agree = pack_->windows.stuckAgreeCycle(
-                fault.structure, fault.bitIndex / 32,
-                bit_in_word - bit_in_word % width, width,
-                faultForcedValue(fault));
-            phase_stats_.prefilterSeconds += secondsSince(t0);
-            if (fault.cycle >= agree) {
-                ++phase_stats_.residencyHits;
-                InjectionResult result;
-                result.fault = fault;
-                result.outcome = FaultOutcome::Masked;
-                result.shortcut = InjectionShortcut::ValueResidency;
-                return result;
-            }
-            // Not provably benign at the fault cycle, but past `agree`
-            // a trajectory-hash match implies golden continuation — arm
-            // the early-out when a comparable boundary exists at all.
-            if (agree != FaultWindows::kNeverAgrees &&
-                agree <= pack_->goldenCycles) {
-                converge_min = agree;
-            }
+        }
+    } else if (pack_ &&
+               spec.persistenceHook == PersistenceHook::StorageReadOverlay) {
+        // Value-residency prefilter: the read overlay never mutates the
+        // raw word, so the fault reaches computation only through reads
+        // whose observed value the forcing *changes*.  agree is the
+        // first cycle from which every remaining golden read of the
+        // faulted bits observes the forced value (exact for word
+        // storage; intermittent faults force the same value whenever
+        // active, so agreement over all reads covers every duty cycle).
+        const auto t0 = PhaseClock::now();
+        const unsigned width = faultPatternWidth(fault.pattern);
+        const auto bit_in_word = static_cast<unsigned>(fault.bitIndex % 32);
+        const Cycle agree = pack_->windows.stuckAgreeCycle(
+            fault.structure, fault.bitIndex / 32,
+            bit_in_word - bit_in_word % width, width,
+            faultForcedValue(fault));
+        phase_stats_.prefilterSeconds += secondsSince(t0);
+        if (fault.cycle >= agree) {
+            ++phase_stats_.residencyHits;
+            InjectionResult result;
+            result.fault = fault;
+            result.outcome = FaultOutcome::Masked;
+            result.shortcut = InjectionShortcut::ValueResidency;
+            return result;
+        }
+        // Not provably benign at the fault cycle, but past `agree` a
+        // trajectory-hash match implies golden continuation — arm the
+        // early-out when a comparable boundary exists at all.
+        if (agree != FaultWindows::kNeverAgrees &&
+            agree <= pack_->goldenCycles) {
+            converge_min = agree;
         }
     }
 

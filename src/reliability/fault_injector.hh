@@ -256,7 +256,11 @@ class FaultInjector
      * simulation, and past the residency agree-from cycle the run
      * compares its (canonical for stuck-at, raw for intermittent)
      * trajectory hash against golden and early-outs on a match.
-     * Control-bit structures keep the restore but run to completion.
+     * A transient flip in a cache data word outside every window is
+     * Masked with zero simulation like a word-storage flip; cache
+     * metadata bits, groups spanning two data words, persistent cache
+     * faults and control-bit structures keep the restore but get no
+     * prefilter.
      */
     InjectionResult inject(const FaultSpec& fault);
 

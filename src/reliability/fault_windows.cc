@@ -130,7 +130,10 @@ FaultWindows::placeCheckpoints(const GpuConfig& config, Cycle goldenCycles,
         const std::uint64_t bits_per_sm = spec.bitsPerSm(config);
         if (bits_per_sm == 0)
             continue; // structure absent on this chip
-        if (enabled_ && spec.exactDeadWindows) {
+        // Cache rows keep uniform weight: their tag, valid and dirty
+        // bits have no windows.
+        if (enabled_ && spec.exactDeadWindows &&
+            spec.kind == StructureKind::WordStorage) {
             // 32 observable bits per word-interval cycle.
             const StructureWindows& w = forStructure(spec.id);
             for (const Interval& iv : w.intervals) {
@@ -233,11 +236,24 @@ FaultWindowRecorder::FaultWindowRecorder(const GpuConfig& config)
             continue; // control bits: no exact windows exist
         Tracker& t = tracker(spec.id);
         t.tracked = true;
+        t.allocWrites = spec.kind == StructureKind::CacheArray;
+        t.residency =
+            spec.persistenceHook == PersistenceHook::StorageReadOverlay;
         t.wordsPerSm =
             static_cast<std::uint32_t>(spec.aceUnitsPerSm(config));
-        t.words = static_cast<std::size_t>(config.numSms) * t.wordsPerSm;
+        t.words = static_cast<std::size_t>(
+            structureAceUnitsTotal(config, spec.id));
         t.blocks.resize((t.words + kBlockWords - 1) / kBlockWords);
     }
+}
+
+std::size_t
+FaultWindowRecorder::chipWord(const Tracker& t, SmId sm, std::uint32_t word)
+{
+    const std::size_t w =
+        static_cast<std::size_t>(sm) * t.wordsPerSm + word;
+    GPR_ASSERT(w < t.words, "observer word out of range");
+    return w;
 }
 
 FaultWindowRecorder::WordState&
@@ -258,9 +274,7 @@ FaultWindowRecorder::onRead(TargetStructure structure, SmId sm,
     // recording (this also keeps log indices within 32 bits).
     if (!t.tracked || total_intervals_ > kMaxIntervals)
         return;
-    const std::size_t w =
-        static_cast<std::size_t>(sm) * t.wordsPerSm + word;
-    GPR_ASSERT(w < t.words, "observer word out of range");
+    const std::size_t w = chipWord(t, sm, word);
     WordState& state = wordState(t, w);
     FaultWindows::Interval* newest =
         state.newest == kNoInterval ? nullptr : &t.log[state.newest].interval;
@@ -273,6 +287,8 @@ FaultWindowRecorder::onRead(TargetStructure structure, SmId sm,
         e.word = static_cast<std::uint32_t>(w);
         ++total_intervals_;
     }
+    if (!t.residency)
+        return;
 
     // Value residency: this read observes `value`, so it disagrees with
     // stuck-at-1 in every 0 bit and with stuck-at-0 in every 1 bit; a
@@ -313,13 +329,27 @@ FaultWindowRecorder::onWrite(TargetStructure structure, SmId sm,
     Tracker& t = tracker(structure);
     if (!t.tracked)
         return;
-    const std::size_t w =
-        static_cast<std::size_t>(sm) * t.wordsPerSm + word;
-    GPR_ASSERT(w < t.words, "observer word out of range");
     // A flip lands at a cycle *start*; a write lands mid-cycle and
     // erases any flip from the same cycle, so observability windows
     // opened by later reads begin the following cycle.
-    wordState(t, w).lastWrite = cycle + 1;
+    wordState(t, chipWord(t, sm, word)).lastWrite = cycle + 1;
+}
+
+void
+FaultWindowRecorder::onAlloc(TargetStructure structure, SmId sm,
+                             std::uint32_t first, std::uint32_t count,
+                             Cycle cycle)
+{
+    // A cache refill overwrites the whole line.  Word-storage allocation
+    // leaves the old contents in place (see the file comment), so it
+    // closes no window.
+    Tracker& t = tracker(structure);
+    if (!t.allocWrites)
+        return;
+    const std::size_t base = chipWord(t, sm, first);
+    GPR_ASSERT(base + count <= t.words, "observer word out of range");
+    for (std::uint32_t i = 0; i < count; ++i)
+        wordState(t, base + i).lastWrite = cycle + 1;
 }
 
 void
@@ -356,7 +386,13 @@ FaultWindowRecorder::finalize(FaultWindows& out)
         }
 
         // Residency: the per-word slots, then each slot expanded into
-        // its 64 agreeFrom stamps (exact, see the class comment).
+        // its 64 agreeFrom stamps (exact, see the class comment).  Left
+        // empty without residency, where every word answers
+        // kNeverAgrees.
+        if (!t.residency) {
+            t = Tracker{};
+            continue;
+        }
         w.residencySlot.assign(t.words, FaultWindows::kResidencyNeverRead);
         for (std::size_t b = 0; b < t.blocks.size(); ++b) {
             if (!t.blocks[b])

@@ -22,8 +22,22 @@
  * reads extend windows across alloc boundaries) — which is what keeps
  * the classification bit-identical to a from-scratch injected run.
  *
- * The read-only-entry argument above holds only for word-granular
- * storage.  Control-bit structures (predicate file, SIMT stack) become
+ * The read-only-entry argument needs every consumer of a stored value
+ * to report a read of it first.  Word-granular storage does, and so do
+ * the data words of the cache arrays: a data word's value leaves the
+ * array only through CacheModel::read() hits, fetchInst() and the
+ * writeback of a line (a dirty victim's eviction, or flushDirty() at the
+ * end of the kernel), and each reports onRead for the word before using
+ * the value.  A store overwrites the word (onWrite) and a line refill
+ * overwrites the whole line, so on a cache row — and only there, unlike
+ * word-storage allocation — onAlloc counts as a write of every unit it
+ * names.  updateIfPresent() (an atomic patching a private L1d copy)
+ * overwrites a word without any event, which can only keep a window
+ * open.  Cache metadata is excluded: tag, valid and dirty bits act
+ * through address comparison (a hit turns into a miss, a writeback is
+ * dropped, fabricated or redirected), not through reads, so the
+ * injector never queries a metadata unit (see cacheDataUnit()).
+ * Control-bit structures (predicate file, SIMT stack) become
  * architecturally visible without any modelled "read" — a flipped PC
  * acts at the next issue — so only registry entries with
  * exactDeadWindows participate; observed() stays conservatively true
@@ -40,7 +54,11 @@
  * value collapses this to one threshold per (bit, value):
  * stuckAgreeCycle() returns the first injection cycle from which the
  * fault is provably benign, exact by construction for word-granular
- * storage and conservative (kNeverAgrees) everywhere else.  The same
+ * storage and conservative (kNeverAgrees) everywhere else.  Only
+ * structures whose persistent faults act through a read overlay
+ * (PersistenceHook::StorageReadOverlay) record residency: a cache's
+ * re-asserted forcing mutates the raw line, so golden reads agreeing
+ * with the forced value prove nothing there.  The same
  * threshold is sound for intermittent faults queried with their forced
  * value: inactive phases read the raw (golden) word, so agreement over
  * all reads is sufficient (if slightly conservative).
@@ -102,9 +120,10 @@ class FaultWindows
 
     /**
      * Would a flip applied at the start of @p cycle in chip-global
-     * @p word of @p structure ever be read before being overwritten?
-     * False means the fault is exactly Masked.  Conservative on a
-     * disabled/unknown structure (returns true).
+     * @p word (ACE unit) of @p structure ever be read before being
+     * overwritten?  False means the fault is exactly Masked — for a
+     * cache, only when @p word is a data-word unit.  Conservative on a
+     * disabled/unknown structure or word (returns true).
      */
     bool observed(TargetStructure structure, std::uint64_t word,
                   Cycle cycle) const;
@@ -119,8 +138,9 @@ class FaultWindows
      * Masked: every golden read of the word at or after C observes all
      * the faulted bits equal to @p value.  0 means the word is never
      * read (always benign); kNeverAgrees means no such cycle is known
-     * (conservative for disabled/unknown structures, exact otherwise).
-     * Bits must lie within one 32-bit word (the FaultPattern contract).
+     * (conservative for disabled windows and for structures without a
+     * read-overlay persistence hook, exact otherwise).  Bits must lie
+     * within one 32-bit word (the FaultPattern contract).
      */
     Cycle stuckAgreeCycle(TargetStructure structure, std::uint64_t word,
                           unsigned firstBit, unsigned width,
@@ -134,11 +154,12 @@ class FaultWindows
      * minimising the expected replay distance of a uniformly sampled
      * fault that survives the dead-window prefilter.  The per-cycle
      * weight is the number of fault-space bits whose injection at that
-     * cycle requires simulation: for structures with exact windows,
-     * 32 bits per word live inside an observability interval; for
-     * everything else (control bits — never prefiltered) the full bit
-     * count, uniformly.  Solved exactly over a bucketed histogram by
-     * dynamic programming, with an implicit free checkpoint at cycle 0.
+     * cycle requires simulation: for word storage, 32 bits per word
+     * live inside an observability interval; for everything else
+     * (control bits, and cache rows, whose tag/valid/dirty bits have
+     * no windows) the full bit count, uniformly.  Solved exactly over a
+     * bucketed histogram by dynamic programming, with an implicit free
+     * checkpoint at cycle 0.
      * Returns ascending, deduplicated cycles (possibly fewer than the
      * budget when extra checkpoints cannot reduce the cost).  With
      * windows disabled the weight is uniform and the result is close to
@@ -190,7 +211,8 @@ class FaultWindows
  *    state.  States live in blocks allocated on a block's first event,
  *    so words the run never touches cost nothing;
  *  - one append-only log of (word, interval) entries;
- *  - one ResidencySlot per word read so far, up to a chip-wide cap.
+ *  - one ResidencySlot per word read so far, up to a chip-wide cap
+ *    (read-overlay structures only, see the file comment).
  * The log and the slots grow in fixed chunks, never copying what they
  * hold.  finalize() builds the CSR FaultWindows from the log with a
  * stable counting sort on the word (log order is time order, so each
@@ -219,6 +241,8 @@ class FaultWindowRecorder : public SimObserver
                 Word value, Cycle cycle) override;
     void onWrite(TargetStructure structure, SmId sm, std::uint32_t word,
                  Cycle cycle) override;
+    void onAlloc(TargetStructure structure, SmId sm, std::uint32_t first,
+                 std::uint32_t count, Cycle cycle) override;
 
     /** Flatten into @p out; the recorder is spent afterwards. */
     void finalize(FaultWindows& out);
@@ -296,8 +320,12 @@ class FaultWindowRecorder : public SimObserver
         /** False for structures without exact windows (control bits):
          *  their events are ignored and no intervals are recorded. */
         bool tracked = false;
-        std::uint32_t wordsPerSm = 0;
-        std::size_t words = 0; ///< chip-wide
+        /** Cache rows: onAlloc is a line refill, a write of each unit. */
+        bool allocWrites = false;
+        /** Read-overlay persistence: record value residency slots. */
+        bool residency = false;
+        std::uint32_t wordsPerSm = 0; ///< per instance
+        std::size_t words = 0;        ///< chip-wide
         /** kBlockWords states per block; null until first touched. */
         std::vector<std::unique_ptr<WordState[]>> blocks;
         Chunked<LogEntry> log;
@@ -308,6 +336,10 @@ class FaultWindowRecorder : public SimObserver
     {
         return trackers_[static_cast<std::size_t>(s)];
     }
+
+    /** Chip-global word of instance-relative @p word. */
+    static std::size_t chipWord(const Tracker& t, SmId sm,
+                                std::uint32_t word);
 
     /** The state of chip-global word @p w of @p t, allocating its
      *  block on first touch. */

@@ -73,6 +73,22 @@ cacheLineAceUnits(std::uint32_t line_words)
     return std::uint64_t{1} + line_words;
 }
 
+/**
+ * The ACE unit of the data word holding fault-space bits [@p bit, @p bit
+ * + @p width), or nullopt when any of them is a tag, valid or dirty bit
+ * or the group spans two data words.  Both layouts are line-major, so a
+ * chip-wide bit of a per-SM cache maps to its chip-wide unit.
+ */
+constexpr std::optional<std::uint64_t>
+cacheDataUnit(std::uint32_t line_words, std::uint64_t bit, unsigned width)
+{
+    const std::uint64_t r = bit % cacheLineBits(line_words);
+    if (r < 34 || (r - 34) % 32 + width > 32)
+        return std::nullopt;
+    return bit / cacheLineBits(line_words) * cacheLineAceUnits(line_words) +
+           1 + (r - 34) / 32;
+}
+
 class CacheModel
 {
   public:

@@ -189,22 +189,22 @@ structureRegistry()
          /*exactDeadWindows=*/false, PersistenceHook::CycleReassert,
          StructureScope::PerSm,
          simtBits, simtUnits, simtUnitBits, warpOcc},
-        // Cache metadata becomes architecturally visible through address
-        // comparison, not reads, so no exact dead windows; persistence
-        // re-forces the faulty bits each stepped cycle (CycleReassert).
+        // Exact dead windows cover the data words only: metadata acts
+        // through address comparison, not reads.  Persistence re-forces
+        // the faulty bits each stepped cycle (CycleReassert).
         {TargetStructure::L1DataCache, StructureKind::CacheArray,
          "l1-data-cache", "l1d", "l1_data_cache",
-         /*exactDeadWindows=*/false, PersistenceHook::CycleReassert,
+         /*exactDeadWindows=*/true, PersistenceHook::CycleReassert,
          StructureScope::PerSm,
          l1dBits, l1dUnits, cacheUnitBits, fullOcc},
         {TargetStructure::L1InstructionCache, StructureKind::CacheArray,
          "l1-instruction-cache", "l1i", "l1_instruction_cache",
-         /*exactDeadWindows=*/false, PersistenceHook::CycleReassert,
+         /*exactDeadWindows=*/true, PersistenceHook::CycleReassert,
          StructureScope::PerSm,
          l1iBits, l1iUnits, cacheUnitBits, fullOcc},
         {TargetStructure::L2Cache, StructureKind::CacheArray,
          "l2-cache", "l2", "l2_cache",
-         /*exactDeadWindows=*/false, PersistenceHook::CycleReassert,
+         /*exactDeadWindows=*/true, PersistenceHook::CycleReassert,
          StructureScope::Chip,
          l2Bits, l2Units, cacheUnitBits, fullOcc},
     }};

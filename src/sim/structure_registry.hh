@@ -24,10 +24,13 @@
  *    exact dead windows — the checkpoint engine skips the prefilter
  *    but keeps checkpoint restore and hash early-out.
  *  - **CacheArray**: modeled cache lines (tag + valid/dirty + data; see
- *    sim/cache.hh) of the L1d/L1i/L2 hierarchy.  Metadata faults act
- *    through address comparison rather than reads, so — like control
- *    bits — caches have no exact dead windows; checkpoint restore and
- *    the hash early-out still apply.
+ *    sim/cache.hh) of the L1d/L1i/L2 hierarchy.  A data word's value
+ *    leaves the array only through a modelled read (a hit, a fetch or a
+ *    writeback), and stores and line refills overwrite it, so data words
+ *    get exact dead windows like word storage.  Metadata faults act
+ *    through address comparison rather than reads, so tag, valid and
+ *    dirty bits have none; checkpoint restore and the hash early-out
+ *    still apply to them.
  */
 
 #ifndef GPR_SIM_STRUCTURE_REGISTRY_HH
@@ -138,10 +141,11 @@ struct StructureSpec
     std::string_view shortName;
     /** Key used in JSON exports, e.g. "register_file". */
     std::string_view jsonKey;
-    /** Word-storage only: the golden trace yields exact per-word dead
-     *  windows (the checkpoint engine's zero-simulation prefilter;
-     *  transient faults only — a persistent fault's cell is never
-     *  dead while the forcing holds). */
+    /** The golden trace yields exact per-unit dead windows (the
+     *  checkpoint engine's zero-simulation prefilter): for every word of
+     *  word storage, and for the data words — not the tag, valid and
+     *  dirty bits — of a cache array.  Transient faults only: a
+     *  persistent fault's cell is never dead while the forcing holds. */
     bool exactDeadWindows = false;
     /** How this structure hosts stuck-at / intermittent faults. */
     PersistenceHook persistenceHook = PersistenceHook::None;

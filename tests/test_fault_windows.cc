@@ -5,7 +5,8 @@
  * FaultWindows is checked against a brute-force oracle built from the
  * same stream — observed() at every cycle, stuckAgreeCycle() for every
  * aligned bit group of widths 1/2/4 and both forced values, and
- * intervalCount() — plus the residency slot cap.
+ * intervalCount() — plus the residency slot cap and the sizing of the
+ * chip-scoped L2.
  */
 
 #include <gtest/gtest.h>
@@ -16,6 +17,7 @@
 
 #include "common/random.hh"
 #include "reliability/fault_windows.hh"
+#include "sim/cache.hh"
 #include "sim/structure_registry.hh"
 #include "sim_test_util.hh"
 
@@ -31,6 +33,14 @@ struct Event
     Word value = 0;
     Cycle cycle = 0;
 };
+
+/** Does @p structure record value residency (read-overlay faults)? */
+bool
+hasResidency(TargetStructure structure)
+{
+    return structureSpec(structure).persistenceHook ==
+           PersistenceHook::StorageReadOverlay;
+}
 
 /** Chip-global word of (@p sm, @p word) in @p structure. */
 std::uint64_t
@@ -111,11 +121,14 @@ struct WordOracle
 using WordKey = std::pair<TargetStructure, std::uint64_t>;
 
 /**
- * Random stream over a few words of each of rf/lds/srf plus the
- * untracked predicate file, on a 2-CU Southern Islands device: cycles
- * advance by 0..3, so several events share a cycle, and values drift
- * one bit at a time (so bits agree over long runs) with occasional
- * fresh values.
+ * Random stream over a few words of each of rf/lds/srf, the untracked
+ * predicate file and the three caches, on a 2-CU Southern Islands
+ * device: cycles advance by 0..3, so several events share a cycle, and
+ * values drift one bit at a time (so bits agree over long runs) with
+ * occasional fresh values.  Allocations land on every structure; on a
+ * cache row they are line refills, which the oracle sees as a write of
+ * every unit of the line, and elsewhere they write nothing.  Cache sites
+ * crowd into three lines per instance so refills hit read words.
  */
 void
 runRandomStream(std::uint64_t seed)
@@ -127,7 +140,12 @@ runRandomStream(std::uint64_t seed)
         TargetStructure::SharedMemory,
         TargetStructure::ScalarRegisterFile,
         TargetStructure::PredicateFile,
+        TargetStructure::L1DataCache,
+        TargetStructure::L1InstructionCache,
+        TargetStructure::L2Cache,
     };
+    const auto line_units =
+        static_cast<std::uint32_t>(cacheLineAceUnits(cfg.cacheLineWords()));
 
     Rng rng(seed);
     struct Site
@@ -139,12 +157,18 @@ runRandomStream(std::uint64_t seed)
     };
     std::vector<Site> sites;
     for (TargetStructure s : kStructures) {
-        const std::uint64_t words = structureSpec(s).aceUnitsPerSm(cfg);
+        const StructureSpec& spec = structureSpec(s);
+        const std::uint64_t words = spec.aceUnitsPerSm(cfg);
         ASSERT_GT(words, 0u) << targetStructureName(s);
+        const bool cache = spec.kind == StructureKind::CacheArray;
         for (int i = 0; i < 12; ++i) {
-            sites.push_back({s, static_cast<SmId>(rng.below(cfg.numSms)),
-                             static_cast<std::uint32_t>(rng.below(words)),
-                             static_cast<Word>(rng())});
+            const SmId sm = spec.scope == StructureScope::Chip
+                                ? 0
+                                : static_cast<SmId>(rng.below(cfg.numSms));
+            const auto word = static_cast<std::uint32_t>(
+                cache ? rng.below(3) * line_units + rng.below(line_units)
+                      : rng.below(words));
+            sites.push_back({s, sm, word, static_cast<Word>(rng())});
         }
     }
 
@@ -163,6 +187,26 @@ runRandomStream(std::uint64_t seed)
         repeat = !same && rng.below(6) == 0 ? &site : nullptr;
         const WordKey key{site.structure,
                           chipWord(cfg, site.structure, site.sm, site.word)};
+        if (rng.below(8) == 0) {
+            if (structureSpec(site.structure).kind !=
+                StructureKind::CacheArray) {
+                recorder.onAlloc(site.structure, site.sm, site.word, 1,
+                                 cycle);
+                continue;
+            }
+            const std::uint32_t first =
+                site.word - site.word % line_units;
+            recorder.onAlloc(site.structure, site.sm, first, line_units,
+                             cycle);
+            for (std::uint32_t u = first; u < first + line_units; ++u) {
+                Event w;
+                w.cycle = cycle;
+                oracle[{site.structure,
+                        chipWord(cfg, site.structure, site.sm, u)}]
+                    .events.push_back(w);
+            }
+            continue;
+        }
         Event e;
         e.cycle = cycle;
         e.read = rng.below(3) != 0;
@@ -199,13 +243,15 @@ runRandomStream(std::uint64_t seed)
                       !tracked || word.observed(c))
                 << "cycle " << c;
         }
+        const bool residency = hasResidency(structure);
         for (unsigned width : {1u, 2u, 4u}) {
             for (unsigned first = 0; first < 32; first += width) {
                 for (bool value : {false, true}) {
                     ASSERT_EQ(windows.stuckAgreeCycle(structure, chip_word,
                                                       first, width, value),
-                              tracked ? word.stuckAgree(first, width, value)
-                                      : kNever)
+                              residency
+                                  ? word.stuckAgree(first, width, value)
+                                  : kNever)
                         << "bits " << first << "+" << width << " stuck-at-"
                         << value;
                 }
@@ -214,19 +260,24 @@ runRandomStream(std::uint64_t seed)
     }
     EXPECT_EQ(windows.intervalCount(), expected_intervals);
 
-    // Words the stream never touched: never observed, always benign.
+    // Words the stream never touched: never observed; always benign
+    // under a read overlay, never provably benign elsewhere.
     for (TargetStructure s : kStructures) {
-        if (!structureSpec(s).exactDeadWindows)
+        const StructureSpec& spec = structureSpec(s);
+        if (!spec.exactDeadWindows)
             continue;
         for (int i = 0; i < 16; ++i) {
-            const SmId sm = static_cast<SmId>(rng.below(cfg.numSms));
+            const SmId sm = spec.scope == StructureScope::Chip
+                                ? 0
+                                : static_cast<SmId>(rng.below(cfg.numSms));
             const auto w = static_cast<std::uint32_t>(
-                rng.below(structureSpec(s).aceUnitsPerSm(cfg)));
+                rng.below(spec.aceUnitsPerSm(cfg)));
             const std::uint64_t chip_word = chipWord(cfg, s, sm, w);
             if (oracle.count({s, chip_word}))
                 continue;
             EXPECT_FALSE(windows.observed(s, chip_word, end / 2));
-            EXPECT_EQ(windows.stuckAgreeCycle(s, chip_word, 0, 4, true), 0u);
+            EXPECT_EQ(windows.stuckAgreeCycle(s, chip_word, 0, 4, true),
+                      hasResidency(s) ? 0u : kNever);
         }
     }
 }
@@ -305,6 +356,73 @@ TEST(FaultWindows, ResidencySlotCapTurnsLaterWordsConservative)
                 ASSERT_EQ(windows.stuckAgreeCycle(rf, w, b, 1, value),
                           expected)
                     << "word " << w << " bit " << b << " stuck-at-" << value;
+            }
+        }
+    }
+}
+
+/**
+ * The chip-scoped L2 has one instance, not one per SM: its last unit is
+ * recorded, and the unit past it is unknown, so observed() answers
+ * conservatively (a tracker sized by numSms would answer "dead").
+ */
+TEST(FaultWindows, ChipScopedL2IsSizedOnce)
+{
+    const GpuConfig& cfg = gpuConfig(GpuModel::HdRadeon7970);
+    const TargetStructure l2 = TargetStructure::L2Cache;
+    const std::uint64_t units = structureAceUnitsTotal(cfg, l2);
+    ASSERT_GT(cfg.numSms, 1u);
+
+    FaultWindowRecorder recorder(cfg);
+    recorder.onRead(l2, 0, static_cast<std::uint32_t>(units - 1), 0, 5);
+    FaultWindows windows;
+    recorder.finalize(windows);
+    ASSERT_TRUE(windows.enabled());
+    EXPECT_TRUE(windows.observed(l2, units - 1, 5));
+    EXPECT_FALSE(windows.observed(l2, units - 1, 6));
+    for (Cycle c : {Cycle{0}, Cycle{5}, Cycle{100}})
+        EXPECT_TRUE(windows.observed(l2, units, c)) << "cycle " << c;
+}
+
+/**
+ * Cache rows record no value residency: their stuck-at forcing mutates
+ * the raw line, so every cache word answers kNeverAgrees, and reading
+ * 2^18 cache words leaves the chip-wide slot cap to the read-overlay
+ * structures (an rf word read afterwards keeps its exact threshold).
+ */
+TEST(FaultWindows, CacheRowsRecordNoResidency)
+{
+    const GpuConfig& cfg = gpuConfig(GpuModel::HdRadeon7970);
+    const TargetStructure kCaches[] = {TargetStructure::L2Cache,
+                                       TargetStructure::L1DataCache,
+                                       TargetStructure::L1InstructionCache};
+    constexpr std::uint64_t kCap = std::uint64_t{1} << 18;
+
+    FaultWindowRecorder recorder(cfg);
+    std::uint64_t fed = 0;
+    for (TargetStructure s : kCaches) {
+        const std::uint64_t total = structureAceUnitsTotal(cfg, s);
+        const std::uint64_t per = structureSpec(s).aceUnitsPerSm(cfg);
+        for (std::uint64_t w = 0; w < total && fed < kCap; ++w, ++fed) {
+            recorder.onRead(s, static_cast<SmId>(w / per),
+                            static_cast<std::uint32_t>(w % per), 0, 3);
+        }
+    }
+    ASSERT_EQ(fed, kCap);
+    const TargetStructure rf = TargetStructure::VectorRegisterFile;
+    recorder.onRead(rf, 0, 9, 0x1u, 7);
+
+    FaultWindows windows;
+    recorder.finalize(windows);
+    ASSERT_TRUE(windows.enabled());
+    EXPECT_EQ(windows.stuckAgreeCycle(rf, 9, 0, 1, true), 0u);
+    EXPECT_EQ(windows.stuckAgreeCycle(rf, 9, 0, 1, false), 8u);
+    for (TargetStructure s : kCaches) {
+        for (std::uint64_t w : {std::uint64_t{0}, std::uint64_t{1},
+                                structureAceUnitsTotal(cfg, s) - 1}) {
+            for (bool value : {false, true}) {
+                EXPECT_EQ(windows.stuckAgreeCycle(s, w, 0, 1, value), kNever)
+                    << targetStructureName(s) << " word " << w;
             }
         }
     }

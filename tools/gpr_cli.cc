@@ -120,10 +120,15 @@ cmdInfo(const std::string& gpu)
         else if (spec.kind == StructureKind::CacheArray)
             kind = spec.scope == StructureScope::Chip ? "cache, shared"
                                                       : "cache, per-SM";
+        const char* windows = "";
+        if (spec.exactDeadWindows) {
+            windows = spec.kind == StructureKind::CacheArray
+                          ? ", exact dead windows on data words"
+                          : ", exact dead windows";
+        }
         std::printf("    %-20s %10llu bits chip-wide (%s%s)\n",
                     std::string(spec.name).c_str(),
-                    static_cast<unsigned long long>(bits), kind,
-                    spec.exactDeadWindows ? ", exact dead windows" : "");
+                    static_cast<unsigned long long>(bits), kind, windows);
     }
     std::printf("  shader clock:       %.0f MHz\n", c.clockMhz);
     std::printf("  scheduler:          %s\n",
