@@ -14,7 +14,7 @@
  *
  *     $ bench_injection_throughput [--workloads=a,b] [--gpus=a,b]
  *           [--structures=a,b] [--behaviors=a,b] [--injections=N]
- *           [--checkpoints=N] [--placement=even|fault-aware] [--seed=S]
+ *           [--checkpoints=N] [--seed=S]
  *
  * By default every registered structure applicable to a cell is run
  * (including the control-state targets, which skip the dead-window
@@ -103,7 +103,6 @@ run(int argc, char** argv)
         FaultBehavior::StuckAt1, FaultBehavior::Intermittent};
     std::size_t injections = 40;
     unsigned checkpoints = kDefaultCheckpoints;
-    CheckpointPlacement placement = CheckpointPlacement::FaultAware;
     std::uint64_t seed = 0xC0FFEE;
 
     for (int i = 1; i < argc; ++i) {
@@ -137,18 +136,6 @@ run(int argc, char** argv)
                 parseInt(arg.substr(std::string("--checkpoints=").size()));
             if (n && *n >= 0)
                 checkpoints = static_cast<unsigned>(*n);
-        } else if (startsWith(arg, "--placement=")) {
-            const std::string name =
-                arg.substr(std::string("--placement=").size());
-            if (name == "even") {
-                placement = CheckpointPlacement::Even;
-            } else if (name == "fault-aware") {
-                placement = CheckpointPlacement::FaultAware;
-            } else {
-                std::fprintf(stderr,
-                             "--placement: expected even|fault-aware\n");
-                return 2;
-            }
         } else if (startsWith(arg, "--seed=")) {
             const auto s =
                 parseInt(arg.substr(std::string("--seed=").size()));
@@ -160,7 +147,7 @@ run(int argc, char** argv)
                          "[--workloads=a,b] [--gpus=a,b] "
                          "[--structures=a,b] [--behaviors=a,b] "
                          "[--injections=N] [--checkpoints=N] "
-                         "[--placement=even|fault-aware] [--seed=S]\n");
+                         "[--seed=S]\n");
             return 2;
         }
     }
@@ -194,8 +181,7 @@ run(int argc, char** argv)
             FaultInjector ckpt(cfg, inst);
             ckpt.adoptGoldenCycles(legacy.goldenCycles());
             t0 = std::chrono::steady_clock::now();
-            const auto pack = ckpt.buildCheckpointPack(checkpoints,
-                                                       placement);
+            const auto pack = ckpt.buildCheckpointPack(checkpoints);
             t1 = std::chrono::steady_clock::now();
             const double pack_s = seconds(t0, t1);
             peak_pack_bytes =
@@ -278,8 +264,6 @@ run(int argc, char** argv)
     // ---- BENCH JSON ----
     std::printf("{\n  \"bench\": \"injection_throughput\",\n");
     std::printf("  \"checkpoints\": %u,\n", checkpoints);
-    std::printf("  \"placement\": \"%s\",\n",
-                std::string(checkpointPlacementName(placement)).c_str());
     std::printf("  \"injections_per_cell\": %zu,\n", injections);
     std::printf("  \"cells\": [\n");
     for (std::size_t i = 0; i < cells.size(); ++i) {

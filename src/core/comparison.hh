@@ -1,9 +1,11 @@
 /**
  * @file
- * ComparisonStudy — the paper's full experiment: every benchmark on every
- * GPU, producing the series behind Fig. 1 (register-file AVF), Fig. 2
- * (local-memory AVF) and Fig. 3 (EPF), plus the cross-checks the text
- * claims (occupancy correlation, ACE-vs-FI accuracy per structure).
+ * StudyResult — the reports of a study grid (every benchmark on every
+ * GPU, for the paper's experiment) and the series derived from them:
+ * Fig. 1 (register-file AVF), Fig. 2 (local-memory AVF) and Fig. 3
+ * (EPF), plus the cross-checks the text claims (occupancy correlation,
+ * ACE-vs-FI accuracy per structure).  runStudy() (core/orchestrator.hh)
+ * produces one from a StudySpec.
  */
 
 #ifndef GPR_CORE_COMPARISON_HH
@@ -15,31 +17,8 @@
 
 #include "common/table.hh"
 #include "core/framework.hh"
-#include "core/study_spec.hh"
 
 namespace gpr {
-
-/** @deprecated Superseded by the grid section of StudySpec; kept for
- *  one PR so existing callers keep compiling. */
-struct StudyOptions
-{
-    AnalysisOptions analysis;
-    /** Benchmarks to include (defaults to all ten). */
-    std::vector<std::string> workloads;
-    /** GPUs to include (defaults to all four, figure order). */
-    std::vector<GpuModel> gpus;
-    /**
-     * Restrict fault injection to these registered structures (empty =
-     * every structure applicable to a cell).  The restriction composes
-     * with per-cell applicability and keeps the per-structure campaign
-     * seeding, so a restricted study's counts are bit-identical to the
-     * matching slice of an unrestricted one — and resume against a
-     * store written either way just works.
-     */
-    std::vector<TargetStructure> structures;
-    /** Print progress lines to stderr as cells complete. */
-    bool verbose = true;
-};
 
 /** All reports of a study, indexed by (workload, gpu). */
 struct StudyResult
@@ -77,16 +56,6 @@ struct StudyResult
 
     void printClaims(std::ostream& os) const;
 };
-
-/** Run the study @p spec describes.  This is the expensive entry point
- *  (equivalent to runStudy(spec) with default execution settings). */
-StudyResult runComparisonStudy(const StudySpec& spec);
-
-/** Run the paper's full experiment (paperStudySpec()). */
-StudyResult runComparisonStudy();
-
-/** @deprecated Use runComparisonStudy(const StudySpec&). */
-StudyResult runComparisonStudy(const StudyOptions& options);
 
 } // namespace gpr
 

@@ -21,6 +21,7 @@
 #include "common/string_utils.hh"
 #include "core/export.hh"
 #include "reliability/ace.hh"
+#include "reliability/campaign.hh"
 #include "workloads/workloads.hh"
 
 namespace gpr {
@@ -782,67 +783,15 @@ runStudy(const StudySpec& spec, StudyProgress* progress_out)
                         cell->ace.goldenStats.cycles);
                     if (cell->pack)
                         injector.adoptCheckpointPack(cell->pack);
-                    ShardCounts counts;
-                    const FaultShape shape{key.behavior, key.pattern};
-                    const auto tally = [&](const InjectionResult& r) {
-                        switch (r.outcome) {
-                          case FaultOutcome::Masked:
-                            ++counts.masked;
-                            break;
-                          case FaultOutcome::Sdc:
-                            ++counts.sdc;
-                            break;
-                          case FaultOutcome::Due:
-                            ++counts.due;
-                            break;
-                        }
-                    };
-                    if (cell->pack &&
-                        faultBehaviorPersistent(key.behavior)) {
-                        // Shared-restore batching: pre-draw the shard's
-                        // persistent faults (sampling is a pure
-                        // function of (seed, index)) and execute them
-                        // grouped by checkpoint interval, so
-                        // consecutive injections reuse the same
-                        // restore point and scratch working set.  The
-                        // shard's counts are order-independent, so the
-                        // record stays bit-identical to index-ordered
-                        // execution.
-                        struct Drawn
-                        {
-                            std::size_t checkpoint;
-                            FaultSpec fault;
-                        };
-                        std::vector<Drawn> batch;
-                        batch.reserve(key.injectionEnd -
-                                      key.injectionBegin);
-                        for (std::uint64_t i = key.injectionBegin;
-                             i < key.injectionEnd; ++i) {
-                            Rng rng(deriveSeed(key.campaignSeed, i));
-                            const FaultSpec fault = injector.sampleRandom(
-                                key.structure, rng, shape);
-                            batch.push_back(
-                                {injector.checkpointIndexFor(fault.cycle),
-                                 fault});
-                        }
-                        std::stable_sort(
-                            batch.begin(), batch.end(),
-                            [](const Drawn& a, const Drawn& b) {
-                                return a.checkpoint < b.checkpoint;
-                            });
-                        for (const Drawn& d : batch)
-                            tally(injector.inject(d.fault));
-                    } else {
-                        for (std::uint64_t i = key.injectionBegin;
-                             i < key.injectionEnd; ++i) {
-                            tally(runIndexedInjection(
-                                injector, key.structure, key.campaignSeed,
-                                i, shape));
-                        }
-                    }
-                    const auto s1 = std::chrono::steady_clock::now();
-                    counts.busySeconds =
-                        std::chrono::duration<double>(s1 - s0).count();
+                    const OutcomeCounts tally = runInjectionRange(
+                        injector, key.structure, key.campaignSeed,
+                        FaultShape{key.behavior, key.pattern},
+                        key.injectionBegin, key.injectionEnd);
+                    const ShardCounts counts{
+                        tally.masked, tally.sdc, tally.due,
+                        std::chrono::duration<double>(
+                            std::chrono::steady_clock::now() - s0)
+                            .count()};
                     if (store.is_open()) {
                         std::lock_guard<std::mutex> lock(store_mutex);
                         writeShardRecord(store, ShardRecord{key, counts});
@@ -949,44 +898,6 @@ runStudy(const StudySpec& spec, StudyProgress* progress_out)
     if (progress_out)
         *progress_out = progress;
     return result;
-}
-
-// ------------------------------------------------- legacy shims (one PR)
-
-StudySpec
-studySpecFromLegacy(const StudyOptions& study, const OrchestratorOptions& orch)
-{
-    StudySpec spec;
-    spec.workloads = study.workloads;
-    spec.gpus = study.gpus;
-    spec.structures = study.structures;
-    spec.plan = study.analysis.plan;
-    spec.seed = study.analysis.seed;
-    spec.workloadSeed = study.analysis.workloadSeed;
-    spec.aceOnly = study.analysis.aceOnly;
-    spec.fitParams = study.analysis.fitParams;
-    spec.verbose = study.verbose;
-    spec.jobs = orch.jobs ? orch.jobs : study.analysis.numThreads;
-    spec.shardsPerCampaign = orch.shardsPerCampaign;
-    spec.checkpoints = orch.checkpoints;
-    spec.storePath = orch.storePath;
-    spec.resume = orch.resume;
-    return spec;
-}
-
-std::vector<ShardKey>
-decomposeStudy(const StudyOptions& study, std::size_t shards_per_campaign)
-{
-    StudySpec spec = studySpecFromLegacy(study);
-    spec.shardsPerCampaign = shards_per_campaign;
-    return decomposeStudy(spec);
-}
-
-StudyResult
-runStudy(const StudyOptions& study, const OrchestratorOptions& orch,
-         StudyProgress* progress)
-{
-    return runStudy(studySpecFromLegacy(study, orch), progress);
 }
 
 } // namespace gpr

@@ -4,14 +4,12 @@
  *
  * Everything that determines what a study computes (the grid), how it
  * samples (the campaign) and how it executes (the machinery) lives in
- * one serializable value type instead of the four overlapping option
- * structs it replaces (AnalysisOptions, StudyOptions,
- * OrchestratorOptions, loose SamplePlan/FitParams plumbing).  A spec
- * round-trips through JSON bit-identically, validates against the
- * workload/GPU/structure registries with precise error messages, and
- * carries a stable content hash over its result-determining fields — the
- * identity the JSONL shard store embeds so --resume can refuse a
- * mismatched store.
+ * this one serializable value type, the only way to describe a study
+ * (a one-cell analyze() included).  A spec round-trips through JSON
+ * bit-identically, validates against the workload/GPU/structure
+ * registries with precise error messages, and carries a stable content
+ * hash over its result-determining fields — the identity the JSONL
+ * shard store embeds so --resume can refuse a mismatched store.
  *
  * Typical use:
  *

@@ -16,6 +16,67 @@
 
 namespace gpr {
 
+OutcomeCounts
+runInjectionRange(FaultInjector& injector, TargetStructure structure,
+                  std::uint64_t campaign_seed, const FaultShape& shape,
+                  std::uint64_t begin, std::uint64_t end,
+                  std::vector<InjectionResult>* records)
+{
+    GPR_ASSERT(begin <= end && (!records || records->size() >= end),
+               "injection range outside the record buffer");
+    OutcomeCounts counts;
+    const auto tally = [&](const InjectionResult& r, std::uint64_t index) {
+        switch (r.outcome) {
+          case FaultOutcome::Masked:
+            ++counts.masked;
+            break;
+          case FaultOutcome::Sdc:
+            ++counts.sdc;
+            break;
+          case FaultOutcome::Due:
+            ++counts.due;
+            break;
+        }
+        if (records)
+            (*records)[index] = r;
+    };
+
+    if (!injector.checkpointPack() ||
+        !faultBehaviorPersistent(shape.behavior)) {
+        for (std::uint64_t i = begin; i < end; ++i) {
+            tally(runIndexedInjection(injector, structure, campaign_seed,
+                                      i, shape),
+                  i);
+        }
+        return counts;
+    }
+
+    // Shared-restore batching: sampling is a pure function of
+    // (seed, index), so the range's faults are drawn up front and run
+    // sorted by the checkpoint that serves them.
+    struct Drawn
+    {
+        std::uint64_t index;
+        std::size_t checkpoint;
+        FaultSpec fault;
+    };
+    std::vector<Drawn> batch;
+    batch.reserve(end - begin);
+    for (std::uint64_t i = begin; i < end; ++i) {
+        Rng rng(deriveSeed(campaign_seed, i));
+        const FaultSpec fault =
+            injector.sampleRandom(structure, rng, shape);
+        batch.push_back({i, injector.checkpointIndexFor(fault.cycle), fault});
+    }
+    std::stable_sort(batch.begin(), batch.end(),
+                     [](const Drawn& a, const Drawn& b) {
+                         return a.checkpoint < b.checkpoint;
+                     });
+    for (const Drawn& d : batch)
+        tally(injector.inject(d.fault), d.index);
+    return counts;
+}
+
 CampaignResult
 runCampaign(const GpuConfig& config, const WorkloadInstance& instance,
             TargetStructure structure, const CampaignConfig& cc)
@@ -41,7 +102,7 @@ runCampaign(const GpuConfig& config, const WorkloadInstance& instance,
         FaultInjector probe(config, instance);
         result.goldenStats = probe.goldenRun().stats;
         if (cc.checkpoints > 0 && cap > 0)
-            pack = probe.buildCheckpointPack(cc.checkpoints, cc.placement);
+            pack = probe.buildCheckpointPack(cc.checkpoints);
     }
 
     if (cap == 0)
@@ -51,6 +112,11 @@ runCampaign(const GpuConfig& config, const WorkloadInstance& instance,
     std::vector<InjectionResult> records;
     if (cc.keepRecords)
         records.resize(cap);
+
+    // Shared-restore batching sorts within a range, so batched workers
+    // fetch chunks of 32; a transient fault runs one index at a time.
+    const std::size_t stride =
+        pack && faultBehaviorPersistent(cc.shape.behavior) ? 32 : 1;
 
     // Run injections [begin, end) and fold their outcomes into the
     // result.  Adaptive campaigns call this once per look of the
@@ -67,77 +133,27 @@ runCampaign(const GpuConfig& config, const WorkloadInstance& instance,
             injector.adoptGoldenCycles(result.goldenStats.cycles);
             if (pack)
                 injector.adoptCheckpointPack(pack);
-            std::size_t local_masked = 0, local_sdc = 0, local_due = 0;
-
-            const auto classify = [&](const InjectionResult& r,
-                                      std::size_t i) {
-                switch (r.outcome) {
-                  case FaultOutcome::Masked:
-                    ++local_masked;
-                    break;
-                  case FaultOutcome::Sdc:
-                    ++local_sdc;
-                    break;
-                  case FaultOutcome::Due:
-                    ++local_due;
-                    break;
-                }
-                if (cc.keepRecords)
-                    records[i] = r;
-            };
-
-            // Shared-restore batching: a persistent-shape campaign with
-            // a pack pre-draws a chunk of fault specs (sampling is a
-            // pure function of (seed, index)) and executes it sorted by
-            // checkpoint interval, so consecutive injections restore
-            // from the same delta with the same scratch-image working
-            // set.  Outcomes are order-independent counts, so the
-            // result stays bit-identical to index-ordered execution.
-            const bool batched =
-                pack && faultBehaviorPersistent(cc.shape.behavior);
-            const std::size_t stride = batched ? 32 : 1;
+            OutcomeCounts local;
 
             const auto t0 = std::chrono::steady_clock::now();
             while (true) {
                 const std::size_t i0 = next.fetch_add(stride);
                 if (i0 >= end)
                     break;
-                if (!batched) {
-                    classify(runIndexedInjection(injector, structure,
-                                                 cc.seed, i0, cc.shape),
-                             i0);
-                    continue;
-                }
-                const std::size_t i1 = std::min(end, i0 + stride);
-                struct Drawn
-                {
-                    std::size_t index;
-                    std::size_t checkpoint;
-                    FaultSpec fault;
-                };
-                std::vector<Drawn> batch;
-                batch.reserve(i1 - i0);
-                for (std::size_t i = i0; i < i1; ++i) {
-                    Rng rng(deriveSeed(cc.seed, i));
-                    const FaultSpec fault =
-                        injector.sampleRandom(structure, rng, cc.shape);
-                    batch.push_back(
-                        {i, injector.checkpointIndexFor(fault.cycle),
-                         fault});
-                }
-                std::stable_sort(batch.begin(), batch.end(),
-                                 [](const Drawn& a, const Drawn& b) {
-                                     return a.checkpoint < b.checkpoint;
-                                 });
-                for (const Drawn& d : batch)
-                    classify(injector.inject(d.fault), d.index);
+                const OutcomeCounts chunk = runInjectionRange(
+                    injector, structure, cc.seed, cc.shape, i0,
+                    std::min(end, i0 + stride),
+                    cc.keepRecords ? &records : nullptr);
+                local.masked += chunk.masked;
+                local.sdc += chunk.sdc;
+                local.due += chunk.due;
             }
             const auto t1 = std::chrono::steady_clock::now();
 
             std::lock_guard<std::mutex> lock(merge_mutex);
-            result.masked += local_masked;
-            result.sdc += local_sdc;
-            result.due += local_due;
+            result.masked += local.masked;
+            result.sdc += local.sdc;
+            result.due += local.due;
             // Busy time, not pool wall-clock: summing per-worker
             // injection time stays correct when several campaigns share
             // worker threads (concurrent campaigns would otherwise each

@@ -4,7 +4,8 @@
  * uniformly sampled over (structure bit, execution cycle), fanned out over
  * a worker pool.  Per-injection seeds are derived from (campaign seed,
  * injection index), so results are bit-identical regardless of the number
- * of worker threads.
+ * of worker threads.  runInjectionRange() is the injection loop itself,
+ * shared with the study orchestrator's shards.
  */
 
 #ifndef GPR_RELIABILITY_CAMPAIGN_HH
@@ -31,11 +32,9 @@ struct CampaignConfig
     bool keepRecords = false;
     /** Checkpoint budget for the checkpoint-restore injection engine;
      *  0 runs every injection from scratch (legacy engine, identical
-     *  counts).  The budget is *distributed* by `placement` — see the
-     *  README's checkpoint engine v2 migration note. */
+     *  counts).  The fault-aware placer distributes the budget — see
+     *  the README's checkpoint engine v2 migration note. */
     unsigned checkpoints = kDefaultCheckpoints;
-    /** How the checkpoint budget is placed over the golden run. */
-    CheckpointPlacement placement = CheckpointPlacement::FaultAware;
     /** Fault shape every injection of the campaign carries (target,
      *  bit and cycle stay per-injection samples).  Default = transient
      *  single-bit, the pre-redesign model bit-for-bit. */
@@ -108,7 +107,7 @@ struct CampaignResult
     {
         if (injections == 0)
             return 0.0;
-        return wilson().width() / 2.0;
+        return avfInterval().width() / 2.0;
     }
 
     /** Wilson interval around a rate with @p successes outcomes (the
@@ -120,9 +119,6 @@ struct CampaignResult
     }
 
     Interval avfInterval() const { return rateInterval(sdc + due); }
-
-    /** Historical name for avfInterval(). */
-    Interval wilson() const { return avfInterval(); }
     Interval sdcInterval() const { return rateInterval(sdc); }
     Interval dueInterval() const { return rateInterval(due); }
 
@@ -152,6 +148,37 @@ runIndexedInjection(FaultInjector& injector, TargetStructure structure,
     Rng rng(deriveSeed(campaign_seed, index));
     return injector.injectRandom(structure, rng, shape);
 }
+
+/** Masked/SDC/DUE tallies of a range of injections. */
+struct OutcomeCounts
+{
+    std::uint64_t masked = 0;
+    std::uint64_t sdc = 0;
+    std::uint64_t due = 0;
+};
+
+/**
+ * The injection loop every execution engine runs: injections
+ * [@p begin, @p end) of the campaign seeded with @p campaign_seed, each
+ * drawn by the runIndexedInjection() scheme and tallied by outcome.
+ * runCampaign() calls it once per chunk its workers fetch, a study
+ * shard once for the whole shard.
+ *
+ * With a checkpoint pack armed and a persistent @p shape, the range's
+ * faults are pre-drawn and executed grouped by checkpoint interval
+ * (shared-restore batching), so consecutive injections restore from
+ * the same delta with a warm scratch image.  The counts are
+ * order-independent, so they stay bit-identical to index order.
+ * When @p records is set, (*records)[i] receives injection i's result;
+ * it must hold at least @p end entries.
+ */
+OutcomeCounts runInjectionRange(FaultInjector& injector,
+                                TargetStructure structure,
+                                std::uint64_t campaign_seed,
+                                const FaultShape& shape,
+                                std::uint64_t begin, std::uint64_t end,
+                                std::vector<InjectionResult>* records =
+                                    nullptr);
 
 /**
  * Run a statistical FI campaign for one (GPU, workload, structure)

@@ -118,14 +118,12 @@ FaultInjector::adoptGoldenCycles(Cycle cycles)
 }
 
 std::shared_ptr<const CheckpointPack>
-FaultInjector::buildCheckpointPack(unsigned checkpoints,
-                                   CheckpointPlacement placement)
+FaultInjector::buildCheckpointPack(unsigned checkpoints)
 {
     const Cycle golden = goldenCycles();
 
     auto pack = std::make_shared<CheckpointPack>();
     pack->goldenCycles = golden;
-    pack->placement = placement;
     // tags + packed valid/dirty bitmaps + data, per cache instance
     // (mirrors CacheModel::stateWords()).
     const auto cache_words = [&](std::uint64_t lines) {
@@ -163,20 +161,8 @@ FaultInjector::buildCheckpointPack(unsigned checkpoints,
     const auto placement_start = PhaseClock::now();
     CheckpointRecorder delta_recorder;
     delta_recorder.delta = true;
-    if (placement == CheckpointPlacement::FaultAware) {
-        delta_recorder.checkpointCycles =
-            pack->windows.placeCheckpoints(config_, golden, checkpoints);
-    } else {
-        for (unsigned i = 1; i <= checkpoints; ++i) {
-            const Cycle c = static_cast<Cycle>(
-                static_cast<std::uint64_t>(golden) * i / (checkpoints + 1));
-            if (c > 0 && (delta_recorder.checkpointCycles.empty() ||
-                          delta_recorder.checkpointCycles.back() != c)) {
-                delta_recorder.checkpointCycles.push_back(c);
-            }
-        }
-    }
-
+    delta_recorder.checkpointCycles =
+        pack->windows.placeCheckpoints(config_, golden, checkpoints);
     pack->buildSeconds.placement = secondsSince(placement_start);
 
     // Pass B: cycle-0 baseline + a delta checkpoint per placed cycle.

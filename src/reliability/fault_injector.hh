@@ -114,8 +114,6 @@ struct CheckpointPack
     /** Delta checkpoints ascending by .now, starting with the trivial
      *  cycle-0 one (so every fault cycle has a checkpoint below it). */
     std::vector<GpuCheckpointDelta> deltas;
-    /** How the checkpoint cycles were chosen (diagnostics). */
-    CheckpointPlacement placement = CheckpointPlacement::FaultAware;
     /** Exact per-word observability windows of the golden run. */
     FaultWindows windows;
     /** Where the build's time went. */
@@ -216,8 +214,8 @@ class FaultInjector
      * Record a checkpoint pack in two golden passes and arm this
      * injector with it.  Pass A records the observability windows and
      * the per-interval trajectory hashes; the @p checkpoints budget is
-     * then distributed over the run per @p placement (fault-aware uses
-     * pass A's windows as the density model); pass B captures the
+     * then placed over the run with pass A's windows as the density
+     * model (FaultWindows::placeCheckpoints); pass B captures the
      * cycle-0 baseline plus a delta checkpoint at each placed cycle.
      * The time of each part lands in CheckpointPack::buildSeconds.
      * Requires the golden cycle count (runs or adopts it first).
@@ -227,8 +225,7 @@ class FaultInjector
      * early-out, no mid-run skipping).
      */
     std::shared_ptr<const CheckpointPack> buildCheckpointPack(
-        unsigned checkpoints,
-        CheckpointPlacement placement = CheckpointPlacement::FaultAware);
+        unsigned checkpoints);
 
     /**
      * Share a pack recorded by another injector of the same
@@ -272,7 +269,7 @@ class FaultInjector
      * bit-identical to the original single-flip model, and intermittent
      * duty-cycle parameters are derived from the same per-injection
      * stream deterministically.  Splitting sampling from injection lets
-     * campaign workers pre-draw a batch and execute it grouped by
+     * runInjectionRange() pre-draw a batch and execute it grouped by
      * checkpoint interval (outcomes are a pure function of the fault,
      * so execution order is free).
      */

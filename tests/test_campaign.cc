@@ -106,7 +106,7 @@ TEST(Campaign, MarginMatchesPlanFormula)
     // Wald margin at the measured AVF is never larger than worst-case.
     EXPECT_LE(r.errorMargin(),
               proportionErrorMargin(100, r.confidence) + 1e-12);
-    const Interval w = r.wilson();
+    const Interval w = r.avfInterval();
     EXPECT_GE(w.lo, 0.0);
     EXPECT_LE(w.hi, 1.0);
     EXPECT_LE(w.lo, r.avf() + 1e-12);

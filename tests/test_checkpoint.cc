@@ -377,32 +377,6 @@ TEST(Checkpoint, DirtyPageHashMatchesFreshHash)
     }
 }
 
-/** Checkpoint placement is a pure perf knob: fault-aware and even
- *  spacing classify every injection identically (and match the legacy
- *  engine — CampaignCountsInvariantUnderEngine covers that leg). */
-TEST(Checkpoint, PlacementInvariantCampaignCounts)
-{
-    const GpuConfig cfg = test::smallCudaConfig();
-    const WorkloadInstance inst = buildFor(cfg, "reduction");
-
-    CampaignConfig aware;
-    aware.plan.injections = 80;
-    aware.numThreads = 2;
-    aware.checkpoints = 6;
-    aware.placement = CheckpointPlacement::FaultAware;
-
-    CampaignConfig even = aware;
-    even.placement = CheckpointPlacement::Even;
-
-    const CampaignResult a = runCampaign(
-        cfg, inst, TargetStructure::VectorRegisterFile, aware);
-    const CampaignResult b = runCampaign(
-        cfg, inst, TargetStructure::VectorRegisterFile, even);
-    EXPECT_EQ(a.masked, b.masked);
-    EXPECT_EQ(a.sdc, b.sdc);
-    EXPECT_EQ(a.due, b.due);
-}
-
 /**
  * Pinned fault-aware placement: the delta checkpoint cycles of a
  * 16-checkpoint pack on two full-size cells.  These are the cells where
@@ -454,13 +428,14 @@ TEST(Checkpoint, CampaignCountsInvariantUnderEngine)
     CampaignConfig ckpt = legacy;
     ckpt.checkpoints = 6;
 
-    const CampaignResult a = runCampaign(
-        cfg, inst, TargetStructure::SharedMemory, legacy);
-    const CampaignResult b =
-        runCampaign(cfg, inst, TargetStructure::SharedMemory, ckpt);
-    EXPECT_EQ(a.masked, b.masked);
-    EXPECT_EQ(a.sdc, b.sdc);
-    EXPECT_EQ(a.due, b.due);
+    for (TargetStructure s : {TargetStructure::SharedMemory,
+                              TargetStructure::VectorRegisterFile}) {
+        const CampaignResult a = runCampaign(cfg, inst, s, legacy);
+        const CampaignResult b = runCampaign(cfg, inst, s, ckpt);
+        EXPECT_EQ(a.masked, b.masked) << targetStructureName(s);
+        EXPECT_EQ(a.sdc, b.sdc) << targetStructureName(s);
+        EXPECT_EQ(a.due, b.due) << targetStructureName(s);
+    }
 }
 
 /**

@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "core/export.hh"
+#include "core/orchestrator.hh"
 
 namespace gpr {
 namespace {
@@ -118,12 +119,13 @@ TEST(Export, ReportJsonHasAllSections)
 
 TEST(Export, StudyJsonAndCsvCoverAllCells)
 {
-    StudyOptions options;
-    options.workloads = {"vectoradd"};
-    options.gpus = {GpuModel::QuadroFx5600, GpuModel::GeforceGtx480};
-    options.analysis.aceOnly = true;
-    options.verbose = false;
-    const StudyResult study = runComparisonStudy(options);
+    const StudyResult study =
+        runStudy(StudySpecBuilder()
+                     .workload("vectoradd")
+                     .gpus({GpuModel::QuadroFx5600, GpuModel::GeforceGtx480})
+                     .aceOnly()
+                     .verbose(false)
+                     .build());
 
     std::ostringstream json;
     writeStudyJson(json, study);

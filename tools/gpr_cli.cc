@@ -18,6 +18,7 @@
 #include <iostream>
 #include <string>
 
+#include "common/logging.hh"
 #include "common/string_utils.hh"
 #include "core/bench_cli.hh"
 #include "core/export.hh"
@@ -220,8 +221,12 @@ cmdAnalyze(const std::string& workload, const std::string& gpu,
     ReliabilityFramework fw(gpuModelFromName(gpu));
     std::size_t injections = 400;
     if (n_arg) {
-        if (const auto n = parseInt(n_arg); n && *n >= 0)
-            injections = static_cast<std::size_t>(*n);
+        const auto n = parseInt(n_arg);
+        if (!n || *n < 0) {
+            fatal("analyze: injection count '", n_arg,
+                  "' is not a non-negative integer");
+        }
+        injections = static_cast<std::size_t>(*n);
     }
     const StudySpec spec =
         StudySpecBuilder().injections(injections).build();
@@ -327,9 +332,22 @@ cmdInject(const std::string& workload, const std::string& gpu,
         fault.intermittentValue = true;
     }
 
+    // An out-of-range fault is a user error, refused here: the
+    // simulator's bounds assertions guard internal invariants.
+    const std::uint64_t bits = structureBitsTotal(cfg, fault.structure);
+    if (fault.bitIndex >= bits) {
+        fatal("inject: bit ", fault.bitIndex, " is out of range: ",
+              targetStructureName(fault.structure), " on ", cfg.name,
+              " has ", bits, " bits");
+    }
     FaultInjector injector(cfg, inst);
+    const Cycle golden = injector.goldenCycles();
+    if (fault.cycle >= golden) {
+        fatal("inject: cycle ", fault.cycle,
+              " is past the end of the golden run (", golden, " cycles)");
+    }
     std::printf("golden run: %llu cycles\n",
-                static_cast<unsigned long long>(injector.goldenCycles()));
+                static_cast<unsigned long long>(golden));
     const InjectionResult r = injector.inject(fault);
     std::printf("fault: %s bit %llu @ cycle %llu (%s x %s) -> %s%s%s\n",
                 std::string(targetStructureName(fault.structure)).c_str(),
@@ -345,46 +363,47 @@ cmdInject(const std::string& workload, const std::string& gpu,
     return 0;
 }
 
+int
+run(int argc, char** argv)
+{
+    if (argc < 2)
+        return usage();
+    const std::string cmd = argv[1];
+    if (cmd == "list")
+        return cmdList();
+    if (cmd == "info" && argc == 3)
+        return cmdInfo(argv[2]);
+    if (cmd == "disasm" && argc == 4)
+        return cmdDisasm(argv[2], argv[3]);
+    if (cmd == "run" && argc == 4)
+        return cmdRun(argv[2], argv[3]);
+    if (cmd == "profile" && argc == 4)
+        return cmdProfile(argv[2], argv[3]);
+    if (cmd == "analyze" && argc >= 4) {
+        bool json = false;
+        const char* n_arg = nullptr;
+        for (int i = 4; i < argc; ++i) {
+            if (std::string(argv[i]) == "--json")
+                json = true;
+            else
+                n_arg = argv[i];
+        }
+        return cmdAnalyze(argv[2], argv[3], n_arg, json);
+    }
+    if (cmd == "inject" && argc >= 7 && argc <= 9) {
+        return cmdInject(argv[2], argv[3], argv[4], argv[5], argv[6],
+                         argc > 7 ? argv[7] : nullptr,
+                         argc > 8 ? argv[8] : nullptr);
+    }
+    if (cmd == "study")
+        return cmdStudy(argc - 1, argv + 1);
+    return usage();
+}
+
 } // namespace
 
 int
 main(int argc, char** argv)
 {
-    if (argc < 2)
-        return usage();
-    const std::string cmd = argv[1];
-    try {
-        if (cmd == "list")
-            return cmdList();
-        if (cmd == "info" && argc == 3)
-            return cmdInfo(argv[2]);
-        if (cmd == "disasm" && argc == 4)
-            return cmdDisasm(argv[2], argv[3]);
-        if (cmd == "run" && argc == 4)
-            return cmdRun(argv[2], argv[3]);
-        if (cmd == "profile" && argc == 4)
-            return cmdProfile(argv[2], argv[3]);
-        if (cmd == "analyze" && argc >= 4) {
-            bool json = false;
-            const char* n_arg = nullptr;
-            for (int i = 4; i < argc; ++i) {
-                if (std::string(argv[i]) == "--json")
-                    json = true;
-                else
-                    n_arg = argv[i];
-            }
-            return cmdAnalyze(argv[2], argv[3], n_arg, json);
-        }
-        if (cmd == "inject" && argc >= 7 && argc <= 9) {
-            return cmdInject(argv[2], argv[3], argv[4], argv[5], argv[6],
-                             argc > 7 ? argv[7] : nullptr,
-                             argc > 8 ? argv[8] : nullptr);
-        }
-        if (cmd == "study")
-            return cmdStudy(argc - 1, argv + 1);
-    } catch (const gpr::FatalError& e) {
-        std::fprintf(stderr, "error: %s\n", e.what());
-        return 1;
-    }
-    return usage();
+    return gpr::runToolMain(run, argc, argv);
 }
