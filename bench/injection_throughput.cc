@@ -34,7 +34,7 @@
  * (prefilter / restore / replay / hash, from FaultInjector's phase
  * accounting), and each (workload, GPU) pair reports its resident
  * checkpoint-pack bytes: the delta-encoded size next to what the same
- * checkpoint cycles would cost as v1 full snapshots.
+ * checkpoint cycles would cost as full snapshots.
  */
 
 // gpr:lint-allow-file(D1): timing whitelist — this is a throughput
@@ -86,7 +86,7 @@ struct CellResult
     /** Where checkpointSeconds went (per-injector phase accounting). */
     InjectionPhaseStats phases;
     std::size_t packBytes = 0;     ///< resident delta-encoded pack
-    std::size_t packFullBytes = 0; ///< same cycles as v1 full snapshots
+    std::size_t packFullBytes = 0; ///< same cycles as full snapshots
     bool outcomesEqual = true;
 };
 

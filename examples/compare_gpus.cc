@@ -13,6 +13,7 @@
 #include "common/logging.hh"
 #include "common/string_utils.hh"
 #include "common/table.hh"
+#include "core/bench_cli.hh"
 #include "core/orchestrator.hh"
 
 namespace {
@@ -23,11 +24,8 @@ run(int argc, char** argv)
     using namespace gpr;
 
     const std::string workload = argc > 1 ? argv[1] : "matrixMul";
-    std::size_t injections = 200;
-    if (argc > 2) {
-        if (const auto n = parseInt(argv[2]); n && *n >= 0)
-            injections = static_cast<std::size_t>(*n);
-    }
+    const std::size_t injections =
+        argc > 2 ? parseInjectionCount("compare_gpus", argv[2]) : 200;
 
     TextTable table({"GPU", "uarch", "cycles", "exec (s)", "RF AVF-FI",
                      "RF AVF-ACE", "RF occ", "LM AVF-FI", "EPF"});

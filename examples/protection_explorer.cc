@@ -18,6 +18,7 @@
 #include "common/logging.hh"
 #include "common/string_utils.hh"
 #include "common/table.hh"
+#include "core/bench_cli.hh"
 #include "core/framework.hh"
 #include "reliability/protection.hh"
 
@@ -31,11 +32,9 @@ run(int argc, char** argv)
     const std::string workload = argc > 1 ? argv[1] : "matrixMul";
     const GpuModel gpu =
         argc > 2 ? gpuModelFromName(argv[2]) : GpuModel::GeforceGtx480;
-    std::size_t injections = 300;
-    if (argc > 3) {
-        if (const auto n = parseInt(argv[3]); n && *n >= 0)
-            injections = static_cast<std::size_t>(*n);
-    }
+    const std::size_t injections =
+        argc > 3 ? parseInjectionCount("protection_explorer", argv[3])
+                 : 300;
 
     ReliabilityFramework framework(gpu);
     const StudySpec spec =

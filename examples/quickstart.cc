@@ -12,7 +12,7 @@
 #include <iostream>
 
 #include "common/logging.hh"
-#include "common/string_utils.hh"
+#include "core/bench_cli.hh"
 #include "core/framework.hh"
 
 namespace {
@@ -26,11 +26,8 @@ run(int argc, char** argv)
     const GpuModel gpu =
         argc > 2 ? gpuModelFromName(argv[2]) : GpuModel::GeforceGtx480;
 
-    std::size_t injections = 400;
-    if (argc > 3) {
-        if (const auto n = parseInt(argv[3]); n && *n >= 0)
-            injections = static_cast<std::size_t>(*n);
-    }
+    const std::size_t injections =
+        argc > 3 ? parseInjectionCount("quickstart", argv[3]) : 400;
 
     // One declarative spec describes the whole experiment; the same
     // value serialises to JSON for `gpr study --spec` (see

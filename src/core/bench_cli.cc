@@ -259,4 +259,15 @@ BenchCli::printHeader(std::ostream& os, const std::string& title) const
     }
 }
 
+std::size_t
+parseInjectionCount(std::string_view tool, const char* arg)
+{
+    const auto n = parseInt(arg);
+    if (!n || *n < 0) {
+        fatal(tool, ": injection count '", arg,
+              "' is not a non-negative integer");
+    }
+    return static_cast<std::size_t>(*n);
+}
+
 } // namespace gpr

@@ -26,9 +26,10 @@
  *   --threads=T       worker threads (default: hardware concurrency)
  *   --jobs=N          alias of --threads (orchestrator wording)
  *   --shards=N        campaign shards (default: derived from the plan)
- *   --checkpoints=N   golden-run checkpoints for the checkpoint-restore
- *                     injection engine (default 8; 0 = legacy
- *                     from-scratch engine, kept for differential tests)
+ *   --checkpoints=N   golden-run checkpoint budget for the
+ *                     checkpoint-restore injection engine (default
+ *                     kDefaultCheckpoints, 16; 0 = legacy from-scratch
+ *                     engine, kept for differential tests)
  *   --store=FILE      JSONL shard store to checkpoint into
  *   --resume[=FILE]   resume from the store, skipping finished shards
  *                     (refused with a spec-hash error if the store was
@@ -36,8 +37,9 @@
  *   --workloads=a,b   subset of benchmarks
  *   --gpus=a,b        subset of GPUs (7970, fx5600, fx5800, gtx480)
  *   --structures=a,b  subset of registered target structures, by
- *                     canonical or short name (rf, lds, srf, pred, simt);
- *                     validated against the structure registry
+ *                     canonical or short name (rf, lds, srf, pred, simt,
+ *                     l1d, l1i, l2); validated against the structure
+ *                     registry
  *   --behavior=B      fault behavior: transient (default), stuck-at-0,
  *                     stuck-at-1, intermittent (see sim/fault_model.hh)
  *   --pattern=P       fault pattern: single (default), adjacent-double,
@@ -98,6 +100,13 @@ struct BenchCli
      */
     bool printStudyJson(std::ostream& os, const StudyResult& study) const;
 };
+
+/**
+ * Parse @p arg, a positional injection-count argument of @p tool.
+ * Throws FatalError naming both unless it is a non-negative integer
+ * (runToolMain reports it as `error: …` and exits 2).
+ */
+std::size_t parseInjectionCount(std::string_view tool, const char* arg);
 
 } // namespace gpr
 

@@ -80,7 +80,7 @@ struct StudyProgress
     std::size_t peakLivePacks = 0;
     /** Peak resident bytes across recorded packs (delta-encoded: one
      *  baseline plus dirty pages per checkpoint) and what the same
-     *  checkpoint cycles would have cost as full v1 snapshots. */
+     *  checkpoint cycles would have cost as full snapshots. */
     std::size_t peakPackBytes = 0;
     std::size_t peakPackFullBytes = 0;
     /** Aggregate worker-seconds across executed shards (injection only:

@@ -33,7 +33,7 @@ struct CampaignConfig
     /** Checkpoint budget for the checkpoint-restore injection engine;
      *  0 runs every injection from scratch (legacy engine, identical
      *  counts).  The fault-aware placer distributes the budget — see
-     *  the README's checkpoint engine v2 migration note. */
+     *  the README's checkpoint-engine migration note. */
     unsigned checkpoints = kDefaultCheckpoints;
     /** Fault shape every injection of the campaign carries (target,
      *  bit and cycle stay per-injection samples).  Default = transient

@@ -142,10 +142,9 @@ FaultInjector::buildCheckpointPack(unsigned checkpoints)
     // Pass A: observability windows + golden trajectory hashes.  No
     // checkpoints yet — the fault-aware placer needs the windows first.
     const auto pass_a_start = PhaseClock::now();
-    CheckpointRecorder hash_recorder;
     FaultWindowRecorder window_recorder(config_);
     RunOptions pass_a;
-    pass_a.recorder = &hash_recorder;
+    pass_a.recordHashes = &pack->hashes;
     pass_a.hashInterval = pack->hashInterval;
     pass_a.observer = &window_recorder;
     const RunResult run_a = gpu_.run(instance_.program, instance_.launch,
@@ -153,31 +152,31 @@ FaultInjector::buildCheckpointPack(unsigned checkpoints)
     GPR_ASSERT(run_a.clean() && run_a.stats.cycles == golden,
                "recording pass diverged from the golden run — the "
                "simulator is not deterministic");
-    pack->hashes = std::move(hash_recorder.hashes);
     window_recorder.finalize(pack->windows);
     pack->buildSeconds.passA = secondsSince(pass_a_start);
 
     // Distribute the checkpoint budget.
     const auto placement_start = PhaseClock::now();
-    CheckpointRecorder delta_recorder;
-    delta_recorder.delta = true;
-    delta_recorder.checkpointCycles =
+    CheckpointRecorder recorder;
+    recorder.checkpointCycles =
         pack->windows.placeCheckpoints(config_, golden, checkpoints);
     pack->buildSeconds.placement = secondsSince(placement_start);
 
     // Pass B: cycle-0 baseline + a delta checkpoint per placed cycle.
     const auto pass_b_start = PhaseClock::now();
+    std::vector<std::uint64_t> hashes_b;
     RunOptions pass_b;
-    pass_b.recorder = &delta_recorder;
+    pass_b.recorder = &recorder;
+    pass_b.recordHashes = &hashes_b;
     pass_b.hashInterval = pack->hashInterval;
     const RunResult run_b = gpu_.run(instance_.program, instance_.launch,
                                      instance_.image, pass_b);
     GPR_ASSERT(run_b.clean() && run_b.stats.cycles == golden &&
-                   delta_recorder.hashes == pack->hashes,
+                   hashes_b == pack->hashes,
                "recording pass diverged from the golden run — the "
                "simulator is not deterministic");
-    pack->baseline = std::move(delta_recorder.baseline);
-    pack->deltas = std::move(delta_recorder.deltas);
+    pack->baseline = std::move(recorder.baseline);
+    pack->deltas = std::move(recorder.deltas);
     GPR_ASSERT(!pack->deltas.empty() && pack->deltas.front().now == 0,
                "delta recording lost its cycle-0 checkpoint");
     pack->buildSeconds.passB = secondsSince(pass_b_start);
@@ -308,21 +307,12 @@ FaultInjector::inject(const FaultSpec& fault)
             options.goldenHashes = &pack_->hashes;
             options.convergeMinCycle = converge_min;
         }
-        // Nearest delta checkpoint at or before the fault cycle
-        // (deltas[0].now == 0, so one always exists); everything before
-        // it is bit-identical to the golden run, so the anchored
-        // restore skips it outright, touching only the pages the
-        // previous injection dirtied.
-        const auto it = std::upper_bound(
-            pack_->deltas.begin(), pack_->deltas.end(), fault.cycle,
-            [](Cycle c, const GpuCheckpointDelta& d) {
-                return c < d.now;
-            });
-        GPR_ASSERT(it != pack_->deltas.begin(),
-                   "checkpoint pack lacks its cycle-0 delta");
+        // Nearest delta checkpoint at or before the fault cycle;
+        // everything before it is bit-identical to the golden run, so
+        // the anchored restore skips it outright, touching only the
+        // pages the previous injection dirtied.
         ensureAnchored();
-        options.resumeBaseline = &pack_->baseline;
-        options.resumeDelta = &*std::prev(it);
+        options.resumeDelta = &pack_->deltas[checkpointIndexFor(fault.cycle)];
         options.imageInOut = &scratch_;
         via_scratch = true;
         run = gpu_.run(instance_.program, instance_.launch,

@@ -92,7 +92,7 @@ struct PackBuildSeconds
 };
 
 /**
- * One golden run's checkpoint pack (v2, delta-encoded): a single full
+ * One golden run's checkpoint pack (delta-encoded): a single full
  * baseline at cycle 0 plus per-checkpoint dirty page sets against it,
  * the golden trajectory's state hash at every hashInterval boundary,
  * and the exact observability windows.  Built once per (workload, GPU,
@@ -129,10 +129,10 @@ struct CheckpointPack
         return b;
     }
 
-    /** What the same checkpoint cycles would cost as full snapshots
-     *  (the v1 encoding): one baseline-sized copy per non-trivial
-     *  checkpoint.  The approxBytes()/fullEquivalentBytes() ratio is
-     *  the pack's compression factor. */
+    /** What the same checkpoint cycles would cost as full snapshots:
+     *  one baseline-sized copy per non-trivial checkpoint.  The
+     *  approxBytes()/fullEquivalentBytes() ratio is the pack's
+     *  compression factor. */
     std::size_t
     fullEquivalentBytes() const
     {
@@ -316,7 +316,7 @@ class FaultInjector
 
 /** Default checkpoint budget per golden run (the `--checkpoints` CLI
  *  default); 0 selects the legacy from-scratch engine.  Delta encoding
- *  makes a checkpoint cost a fraction of a full snapshot, so the v2
+ *  makes a checkpoint cost a fraction of a full snapshot, so the
  *  default is twice the full-snapshot era's 8: the extra checkpoints
  *  buy shorter fast-forward replay for a sub-linear memory increase. */
 constexpr unsigned kDefaultCheckpoints = 16;

@@ -57,46 +57,26 @@ Gpu::applyFault(const FaultSpec& fault)
     // The pattern upsets the aligned width-bit cell group containing
     // the sampled bit.  Width divides 32 and every structure's
     // per-instance bits, so the group stays inside one instance and
-    // inside one 32-bit word of word storage.
+    // inside one 32-bit word of word storage.  The one chip-shared
+    // structure is the L2, a single instance (no SM split).
     const unsigned width = faultPatternWidth(fault.pattern);
-
-    if (spec.scope == StructureScope::Chip) {
-        // The one chip-shared structure is the L2; its fault space is
-        // instance-local (no SM split).
-        GPR_ASSERT(fault.structure == TargetStructure::L2Cache && l2_,
-                   "unhandled chip-scoped structure");
-        BitIndex local = fault.bitIndex;
-        GPR_ASSERT(local < bits_per_instance,
-                   "fault bit index out of range");
-        local -= local % width;
-        const std::uint64_t mask = (std::uint64_t{1} << width) - 1;
-        if (!fault.persistent()) {
-            for (unsigned k = 0; (mask >> k) != 0; ++k) {
-                if ((mask >> k) & 1)
-                    l2_->flipBit(local + k);
-            }
-            return;
-        }
-        GPR_ASSERT(spec.persistenceHook == PersistenceHook::CycleReassert,
-                   "L2 persistence is cycle-reasserted");
-        SmCore::PersistentFault pf;
-        pf.structure = fault.structure;
-        pf.firstBit = local;
-        pf.mask = mask;
-        pf.value = faultForcedValue(fault);
-        pf.alwaysActive = fault.behavior != FaultBehavior::Intermittent;
-        persistent_l2_ = pf;
-        return;
-    }
-
-    const SmId sm = static_cast<SmId>(fault.bitIndex / bits_per_instance);
+    const bool chip = spec.scope == StructureScope::Chip;
+    GPR_ASSERT(!chip || (fault.structure == TargetStructure::L2Cache && l2_),
+               "unhandled chip-scoped structure");
+    const std::uint64_t instance = fault.bitIndex / bits_per_instance;
+    GPR_ASSERT(instance < (chip ? 1 : sms_.size()),
+               "fault bit index out of range");
     BitIndex local = fault.bitIndex % bits_per_instance;
-    GPR_ASSERT(sm < sms_.size(), "fault bit index out of range");
     local -= local % width;
     const std::uint64_t mask = (std::uint64_t{1} << width) - 1;
 
     if (!fault.persistent()) {
-        sms_[sm]->applyFault(fault.structure, local, mask);
+        if (!chip) {
+            sms_[instance]->applyFault(fault.structure, local, mask);
+            return;
+        }
+        for (unsigned k = 0; k < width; ++k)
+            l2_->flipBit(local + k);
         return;
     }
     SmCore::PersistentFault pf;
@@ -105,8 +85,14 @@ Gpu::applyFault(const FaultSpec& fault)
     pf.mask = mask;
     pf.value = faultForcedValue(fault);
     pf.alwaysActive = fault.behavior != FaultBehavior::Intermittent;
-    sms_[sm]->bindPersistentFault(pf);
-    persistent_sm_ = static_cast<std::int64_t>(sm);
+    if (!chip) {
+        sms_[instance]->bindPersistentFault(pf);
+        persistent_sm_ = static_cast<std::int64_t>(instance);
+        return;
+    }
+    GPR_ASSERT(spec.persistenceHook == PersistenceHook::CycleReassert,
+               "L2 persistence is cycle-reasserted");
+    persistent_l2_ = pf;
 }
 
 GpuCheckpoint
@@ -148,25 +134,26 @@ Gpu::anchorTo(const GpuCheckpoint& baseline)
 }
 
 void
-Gpu::restoreDelta(const GpuCheckpoint& baseline,
-                  const GpuCheckpointDelta& d)
+Gpu::restoreDelta(const GpuCheckpointDelta& d, MemoryImage& image)
 {
-    GPR_ASSERT(anchoredTo(&baseline),
-               "delta resume on a device not anchored to this baseline");
+    GPR_ASSERT(anchor_ != nullptr,
+               "delta resume on a device not anchored to a baseline");
     GPR_ASSERT(d.smStorage.size() == sms_.size() &&
                    d.smControl.size() == sms_.size(),
                "delta was recorded on a chip with a different SM count");
     for (std::size_t i = 0; i < sms_.size(); ++i) {
-        sms_[i]->revertStorages(baseline.sms[i]);
+        sms_[i]->revertStorages(anchor_->sms[i]);
         sms_[i]->applyStorageDelta(d.smStorage[i]);
         sms_[i]->restoreControl(d.smControl[i]);
     }
     if (l2_) {
-        l2_->revertTo(*baseline.l2);
+        l2_->revertTo(*anchor_->l2);
         l2_->applyDelta(d.l2);
     }
     next_block_ = d.nextBlock;
     dispatch_rr_ = d.dispatchRr;
+    image.revertTo(anchor_->memory);
+    image.applyDelta(d.memory);
 }
 
 void
@@ -214,18 +201,6 @@ Gpu::runStateHash(const RunContext& ctx, const MemoryImage& image,
     return h.value();
 }
 
-GpuCheckpoint
-Gpu::captureCheckpoint(const RunContext& ctx, const SimStats& stats,
-                       const MemoryImage& image, Cycle now) const
-{
-    GpuCheckpoint cp = snapshot();
-    cp.now = now;
-    cp.memPipe = ctx.memPipe;
-    cp.stats = stats;
-    cp.memory = image;
-    return cp;
-}
-
 void
 Gpu::dispatchBlocks(RunContext& ctx, Cycle now)
 {
@@ -256,22 +231,18 @@ Gpu::run(const Program& prog, const LaunchConfig& launch, MemoryImage image,
                      std::max(1u, launch.numBlocks()));
     GPR_ASSERT(launch.numBlocks() > 0, "empty grid");
 
-    GPR_ASSERT(!options.resume || (!options.observer && !options.recorder),
-               "a resumed run cannot be observed or re-recorded");
     GPR_ASSERT(!options.resumeDelta ||
-                   (!options.observer && !options.recorder),
+                   (!options.observer && !options.recorder &&
+                    !options.recordHashes),
                "a resumed run cannot be observed or re-recorded");
-    GPR_ASSERT(!options.resume || !options.resumeDelta,
-               "full and delta resume are mutually exclusive");
-    GPR_ASSERT(!options.resumeDelta || options.resumeBaseline,
-               "delta resume requires its baseline");
     GPR_ASSERT(options.imageInOut ? options.resumeDelta != nullptr
                                   : options.resumeDelta == nullptr,
                "delta resume and imageInOut come as a pair");
-    GPR_ASSERT(!options.recorder || !options.fault,
-               "checkpoints are recorded on the fault-free golden run");
-    GPR_ASSERT(!options.recorder || options.hashInterval > 0,
-               "recording requires a hash interval");
+    GPR_ASSERT((!options.recorder && !options.recordHashes) ||
+                   !options.fault,
+               "golden recordings are taken on the fault-free run");
+    GPR_ASSERT(!options.recordHashes || options.hashInterval > 0,
+               "recording hashes requires a hash interval");
     GPR_ASSERT(!options.fault || !options.fault->persistent() ||
                    !options.goldenHashes ||
                    options.convergeMinCycle > options.fault->cycle,
@@ -321,37 +292,43 @@ Gpu::run(const Program& prog, const LaunchConfig& launch, MemoryImage image,
     persistent_sm_ = -1; // reset()/restore() clear the per-SM binding
     persistent_l2_.reset();
 
-    if (options.resume) {
-        // Continue a previous run: the checkpoint holds the state at the
-        // *start* of cycle cp.now, so the loop picks up exactly where the
-        // recorded run left off.
-        const auto t0 = PhaseClock::now();
-        const GpuCheckpoint& cp = *options.resume;
-        GPR_ASSERT(!options.fault || options.fault->cycle >= cp.now,
-                   "fault predates the resume checkpoint");
-        restore(cp);
-        ctx.memPipe = cp.memPipe;
-        result.stats = cp.stats;
-        image = cp.memory;
-        vrf_occ_acc = cp.vrfOccAcc;
-        srf_occ_acc = cp.srfOccAcc;
-        lds_occ_acc = cp.ldsOccAcc;
-        warp_occ_acc = cp.warpOccAcc;
-        last_completed = cp.lastCompleted;
-        now = cp.now;
-        result.restoreSeconds += secondsSince(t0);
-    } else if (options.resumeDelta) {
+    // Encode the current state as a delta against the recorder's
+    // baseline: the cycle-0 checkpoint and every requested one.
+    auto record_delta = [&] {
+        const GpuCheckpoint& base = options.recorder->baseline;
+        GpuCheckpointDelta d;
+        d.now = now;
+        d.smStorage.resize(sms_.size());
+        d.smControl.reserve(sms_.size());
+        for (std::size_t i = 0; i < sms_.size(); ++i) {
+            sms_[i]->captureStorageDelta(base.sms[i], d.smStorage[i]);
+            d.smControl.push_back(sms_[i]->captureControl());
+        }
+        if (l2_)
+            l2_->captureDelta(*base.l2, d.l2);
+        d.nextBlock = next_block_;
+        d.dispatchRr = dispatch_rr_;
+        d.memPipe = ctx.memPipe;
+        d.stats = result.stats;
+        img->captureDelta(base.memory, d.memory);
+        d.vrfOccAcc = vrf_occ_acc;
+        d.srfOccAcc = srf_occ_acc;
+        d.ldsOccAcc = lds_occ_acc;
+        d.warpOccAcc = warp_occ_acc;
+        d.lastCompleted = last_completed;
+        options.recorder->deltas.push_back(std::move(d));
+    };
+
+    if (options.resumeDelta) {
         // Anchored delta resume: revert only the pages the previous run
-        // dirtied, then lay the delta's pages and control state on top —
-        // bit-identical to a full restore of the encoded checkpoint.
+        // dirtied, then lay the delta's pages and control state on top.
+        // The checkpoint holds the state at the *start* of cycle d.now,
+        // so the loop picks up exactly where the recorded run left off.
         const auto t0 = PhaseClock::now();
-        const GpuCheckpoint& base = *options.resumeBaseline;
         const GpuCheckpointDelta& d = *options.resumeDelta;
         GPR_ASSERT(!options.fault || options.fault->cycle >= d.now,
                    "fault predates the resume checkpoint");
-        restoreDelta(base, d);
-        img->revertTo(base.memory);
-        img->applyDelta(d.memory);
+        restoreDelta(d, *img);
         ctx.memPipe = d.memPipe;
         result.stats = d.stats;
         vrf_occ_acc = d.vrfOccAcc;
@@ -374,36 +351,23 @@ Gpu::run(const Program& prog, const LaunchConfig& launch, MemoryImage image,
         dispatch_rr_ = 0;
         dispatchBlocks(ctx, now);
 
-        if (options.recorder && options.recorder->delta) {
+        if (options.recorder) {
             // Capture the baseline every delta checkpoint encodes
-            // against, plus a trivial delta for cycle 0 itself (the
-            // placement's implicit first checkpoint).  From here on the
-            // storages' dirty tracking measures divergence from it.
-            CheckpointRecorder& rec = *options.recorder;
-            rec.baseline = captureCheckpoint(ctx, result.stats, *img, now);
+            // against, plus a delta for cycle 0 itself (the placement's
+            // implicit first checkpoint): its page sets are empty, but
+            // it carries the control state and the free lists and
+            // allocation counters applyStorageDelta adopts wholesale.
+            // From here on the dirty tracking measures divergence from
+            // the baseline.
+            GpuCheckpoint& base = options.recorder->baseline;
+            base = snapshot();
+            base.memory = *img;
             for (auto& sm : sms_)
                 sm->markStoragesClean();
             img->markCleanForRestore();
             if (l2_)
                 l2_->markCleanForRestore();
-            GpuCheckpointDelta d0;
-            d0.nextBlock = next_block_;
-            d0.dispatchRr = dispatch_rr_;
-            d0.memPipe = ctx.memPipe;
-            d0.stats = result.stats;
-            d0.smStorage.resize(sms_.size());
-            d0.smControl.reserve(sms_.size());
-            for (std::size_t i = 0; i < sms_.size(); ++i) {
-                // Against the just-captured baseline the page set is
-                // empty, but the delta still carries the free list and
-                // allocation counter applyDelta adopts wholesale.
-                sms_[i]->captureStorageDelta(rec.baseline.sms[i],
-                                             d0.smStorage[i]);
-                d0.smControl.push_back(sms_[i]->captureControl());
-            }
-            if (l2_)
-                l2_->captureDelta(*rec.baseline.l2, d0.l2);
-            rec.deltas.push_back(std::move(d0));
+            record_delta();
         }
     }
 
@@ -453,24 +417,15 @@ Gpu::run(const Program& prog, const LaunchConfig& launch, MemoryImage image,
         // The tick is idempotent, so landing on extra idle cycles — as
         // a checkpoint-resumed run may, relative to from-scratch —
         // cannot diverge the trajectory.
-        if (persistent_sm_ >= 0) {
+        if (persistent_sm_ >= 0 || persistent_l2_) {
             const FaultSpec& f = *options.fault;
-            bool active = true;
-            if (f.behavior == FaultBehavior::Intermittent) {
-                active = (now - f.cycle) % f.intermittentPeriod <
-                         f.intermittentActive;
-            }
-            sms_[static_cast<std::size_t>(persistent_sm_)]
-                ->persistentFaultTick(active);
-        }
-        if (persistent_l2_) {
-            const FaultSpec& f = *options.fault;
-            bool active = true;
-            if (f.behavior == FaultBehavior::Intermittent) {
-                active = (now - f.cycle) % f.intermittentPeriod <
-                         f.intermittentActive;
-            }
-            if (active) {
+            const bool active = f.behavior != FaultBehavior::Intermittent ||
+                                (now - f.cycle) % f.intermittentPeriod <
+                                    f.intermittentActive;
+            if (persistent_sm_ >= 0) {
+                sms_[static_cast<std::size_t>(persistent_sm_)]
+                    ->persistentFaultTick(active);
+            } else if (active) {
                 for (unsigned k = 0; (persistent_l2_->mask >> k) != 0; ++k)
                     if ((persistent_l2_->mask >> k) & 1)
                         l2_->forceBit(persistent_l2_->firstBit + k,
@@ -481,48 +436,14 @@ Gpu::run(const Program& prog, const LaunchConfig& launch, MemoryImage image,
         if (options.recorder &&
             rec_idx < options.recorder->checkpointCycles.size() &&
             now >= options.recorder->checkpointCycles[rec_idx]) {
-            if (options.recorder->delta) {
-                GpuCheckpointDelta d;
-                d.now = now;
-                d.nextBlock = next_block_;
-                d.dispatchRr = dispatch_rr_;
-                d.memPipe = ctx.memPipe;
-                d.stats = result.stats;
-                d.smStorage.resize(sms_.size());
-                d.smControl.reserve(sms_.size());
-                for (std::size_t i = 0; i < sms_.size(); ++i) {
-                    sms_[i]->captureStorageDelta(
-                        options.recorder->baseline.sms[i], d.smStorage[i]);
-                    d.smControl.push_back(sms_[i]->captureControl());
-                }
-                img->captureDelta(options.recorder->baseline.memory,
-                                  d.memory);
-                if (l2_)
-                    l2_->captureDelta(*options.recorder->baseline.l2,
-                                      d.l2);
-                d.vrfOccAcc = vrf_occ_acc;
-                d.srfOccAcc = srf_occ_acc;
-                d.ldsOccAcc = lds_occ_acc;
-                d.warpOccAcc = warp_occ_acc;
-                d.lastCompleted = last_completed;
-                options.recorder->deltas.push_back(std::move(d));
-            } else {
-                GpuCheckpoint cp =
-                    captureCheckpoint(ctx, result.stats, *img, now);
-                cp.vrfOccAcc = vrf_occ_acc;
-                cp.srfOccAcc = srf_occ_acc;
-                cp.ldsOccAcc = lds_occ_acc;
-                cp.warpOccAcc = warp_occ_acc;
-                cp.lastCompleted = last_completed;
-                options.recorder->checkpoints.push_back(std::move(cp));
-            }
+            record_delta();
             ++rec_idx;
         }
 
         if (hash_interval && now == next_boundary) {
-            if (options.recorder) {
+            if (options.recordHashes) {
                 const auto t0 = PhaseClock::now();
-                options.recorder->hashes.push_back(runStateHash(
+                options.recordHashes->push_back(runStateHash(
                     ctx, *img, result.stats.blocksCompleted));
                 result.hashSeconds += secondsSince(t0);
             } else if (options.goldenHashes && !fault_pending &&

@@ -29,36 +29,19 @@
 namespace gpr {
 
 /**
- * Complete mid-run device + run-loop state at the start of one cycle.
- * Restoring it and resuming reproduces the original run's remaining
- * trajectory bit-for-bit, with one caveat: the occupancy *averages* of a
- * resumed run can differ from an uninterrupted run in the last ulp
- * (the integrators accumulate over differently split intervals) —
- * classification never reads them.
- *
- * The device portion (SMs + dispatch) is captured by Gpu::snapshot();
- * the run-loop portion (cycle, stats, memory, occupancy integrators)
- * is filled in by the run loop when recording via CheckpointRecorder.
+ * The cycle-0 baseline every delta checkpoint is encoded against: the
+ * device portion (SMs + L2 + dispatch) captured by Gpu::snapshot(),
+ * plus the memory image.  The run-loop state a resume needs (cycle,
+ * MemPipe, stats, occupancy integrators) lives in each
+ * GpuCheckpointDelta, the cycle-0 one included.
  */
 struct GpuCheckpoint
 {
-    Cycle now = 0;
-
-    // Device state.
     std::vector<SmCore::Snapshot> sms;
     std::optional<CacheModel> l2; ///< chip-shared L2, when modeled
     std::uint32_t nextBlock = 0;
     std::uint32_t dispatchRr = 0;
-
-    // Run-loop state.
-    MemPipe memPipe;
-    SimStats stats;
     MemoryImage memory;
-    double vrfOccAcc = 0.0;
-    double srfOccAcc = 0.0;
-    double ldsOccAcc = 0.0;
-    double warpOccAcc = 0.0;
-    std::uint64_t lastCompleted = 0;
 
     /** Resident footprint (pack accounting). */
     std::size_t
@@ -73,12 +56,16 @@ struct GpuCheckpoint
 };
 
 /**
- * A checkpoint encoded against a baseline GpuCheckpoint instead of
- * standing alone: the storages and the memory image are stored as the
- * pages that differ from the baseline, while the (small) control state
- * is copied whole.  Restoring = revert the anchored device/image to the
- * baseline (touching only pages written since) + apply these deltas —
- * bit-identical to restoring the full checkpoint this delta encodes.
+ * Complete mid-run device + run-loop state at the start of one cycle,
+ * encoded against a baseline GpuCheckpoint: the storages and the memory
+ * image are stored as the pages that differ from the baseline, while
+ * the (small) control state is copied whole.  Restoring = revert the
+ * anchored device/image to the baseline (touching only pages written
+ * since) + apply these deltas; resuming then reproduces the recorded
+ * run's remaining trajectory bit-for-bit, with one caveat: the
+ * occupancy *averages* of a resumed run can differ from an
+ * uninterrupted run in the last ulp (the integrators accumulate over
+ * differently split intervals) — classification never reads them.
  */
 struct GpuCheckpointDelta
 {
@@ -115,34 +102,19 @@ struct GpuCheckpointDelta
 };
 
 /**
- * Output channel for a golden recording pass: Gpu::run snapshots a
- * GpuCheckpoint at each requested cycle and appends the trajectory's
- * state hash at every hashInterval boundary (cycle k*hashInterval for
- * k = 1, 2, ...; hashes[k-1] is the digest at the *start* of that
- * cycle).
+ * Output channel for a golden checkpoint-recording pass: Gpu::run
+ * captures the cycle-0 baseline (after initial dispatch), then encodes
+ * a delta against it at cycle 0 and at each requested cycle.
  */
 struct CheckpointRecorder
 {
     /** Cycles to checkpoint at, ascending and > 0 (input). */
     std::vector<Cycle> checkpointCycles;
-    /**
-     * Record delta checkpoints (input): capture one full baseline at
-     * cycle 0 (after initial dispatch) into `baseline`, then encode
-     * every checkpoint — including an implicit one at cycle 0 — as a
-     * GpuCheckpointDelta against it in `deltas`.  When false, full
-     * checkpoints land in `checkpoints` (legacy mode).
-     */
-    bool delta = false;
-    /** Captured checkpoints, one per reached requested cycle (output,
-     *  legacy mode). */
-    std::vector<GpuCheckpoint> checkpoints;
     /** Cycle-0 baseline every delta is encoded against (output). */
     GpuCheckpoint baseline;
     /** Delta checkpoints: cycle 0, then each reached requested cycle
-     *  (output, delta mode). */
+     *  (output). */
     std::vector<GpuCheckpointDelta> deltas;
-    /** Golden state hashes, one per crossed hash boundary (output). */
-    std::vector<std::uint64_t> hashes;
 };
 
 struct RunOptions
@@ -158,22 +130,14 @@ struct RunOptions
     /** Optional access-trace observer (ACE analysis). */
     SimObserver* observer = nullptr;
 
-    /** Start mid-execution from this checkpoint instead of cycle 0 (the
-     *  passed-in MemoryImage is ignored; the checkpoint's is used).
-     *  Incompatible with observer/recorder. */
-    const GpuCheckpoint* resume = nullptr;
-
     /**
-     * Delta resume: start mid-execution from resumeDelta, applied on
-     * top of resumeBaseline.  The device must be anchored to that exact
-     * baseline (Gpu::anchorTo) and imageInOut must point to a scratch
-     * image whose dirty tracking is likewise anchored to the baseline's
-     * image — then the restore touches only pages the previous run
-     * wrote, instead of copying the whole state.  Bit-identical to a
-     * full `resume` from the checkpoint the delta encodes.
-     * Incompatible with resume/observer/recorder.
+     * Delta resume: start mid-execution from this checkpoint, applied
+     * on top of the baseline the device is anchored to (Gpu::anchorTo).
+     * imageInOut must point to a scratch image whose dirty tracking is
+     * likewise anchored to that baseline's image — then the restore
+     * touches only pages the previous run wrote, instead of copying the
+     * whole state.  Incompatible with observer/recorder/recordHashes.
      */
-    const GpuCheckpoint* resumeBaseline = nullptr;
     const GpuCheckpointDelta* resumeDelta = nullptr;
 
     /**
@@ -184,8 +148,14 @@ struct RunOptions
      * image across a campaign's injections without per-run copies.
      */
     MemoryImage* imageInOut = nullptr;
-    /** Record checkpoints + golden hashes along this (fault-free) run. */
+    /** Record the baseline + delta checkpoints along this (fault-free)
+     *  run. */
     CheckpointRecorder* recorder = nullptr;
+    /** Append the golden trajectory's state hash at every hashInterval
+     *  boundary of this (fault-free) run: cycle k*hashInterval for
+     *  k = 1, 2, ...; element k-1 is the digest at the *start* of that
+     *  cycle. */
+    std::vector<std::uint64_t>* recordHashes = nullptr;
     /** State-hash boundary spacing in cycles; 0 disables hashing.  Must
      *  be identical between the recording run and any comparing run. */
     Cycle hashInterval = 0;
@@ -214,8 +184,8 @@ struct RunResult
      *  and memory hold the state at the convergence point. */
     bool convergedToGolden = false;
 
-    /** Wall-clock seconds the run spent restoring resume state (full or
-     *  delta) — the injection-throughput bench's per-phase breakdown. */
+    /** Wall-clock seconds the run spent restoring its delta checkpoint
+     *  — the injection-throughput bench's per-phase breakdown. */
     double restoreSeconds = 0.0;
     /** Wall-clock seconds spent computing trajectory state hashes. */
     double hashSeconds = 0.0;
@@ -245,9 +215,9 @@ class Gpu
     std::uint64_t structureBits(TargetStructure structure) const;
 
     /**
-     * Deep-copy the device portion of the state (all SMs + dispatch)
-     * into a checkpoint; the run-loop fields are left default (the run
-     * loop fills them when recording via CheckpointRecorder).
+     * Deep-copy the device portion of the state (all SMs, the L2 and
+     * dispatch) into a checkpoint; its memory image is left empty (the
+     * run loop fills it when recording via CheckpointRecorder).
      */
     GpuCheckpoint snapshot() const;
 
@@ -264,13 +234,6 @@ class Gpu
      */
     void anchorTo(const GpuCheckpoint& baseline);
 
-    /** Is the device currently anchored to exactly @p baseline? */
-    bool
-    anchoredTo(const GpuCheckpoint* baseline) const
-    {
-        return anchor_ != nullptr && anchor_ == baseline;
-    }
-
     /**
      * Fingerprint of the device portion (SMs + dispatch state) — the
      * round-trip invariant: restore(cp) always reproduces the same
@@ -282,17 +245,12 @@ class Gpu
 
   private:
     void applyFault(const FaultSpec& fault);
-    void restoreDelta(const GpuCheckpoint& baseline,
-                      const GpuCheckpointDelta& d);
+    void restoreDelta(const GpuCheckpointDelta& d, MemoryImage& image);
     void dispatchBlocks(RunContext& ctx, Cycle now);
     void hashDeviceInto(StateHash& h) const;
     std::uint64_t runStateHash(const RunContext& ctx,
                                const MemoryImage& image,
                                std::uint64_t blocks_completed) const;
-    GpuCheckpoint captureCheckpoint(const RunContext& ctx,
-                                    const SimStats& stats,
-                                    const MemoryImage& image,
-                                    Cycle now) const;
 
     const GpuConfig& config_;
     std::vector<std::unique_ptr<SmCore>> sms_;
@@ -308,7 +266,7 @@ class Gpu
      *  CacheModel::forceBit each active cycle (per-run state). */
     std::optional<SmCore::PersistentFault> persistent_l2_;
     /** Baseline the device's dirty tracking is anchored to (nullptr =
-     *  unanchored; delta resumes assert against it). */
+     *  unanchored); delta resumes revert to it. */
     const GpuCheckpoint* anchor_ = nullptr;
 };
 

@@ -301,20 +301,7 @@ SmCore::simtUnit(const WarpContext& w, unsigned unit) const
 SmCore::Snapshot
 SmCore::snapshot() const
 {
-    return Snapshot{vrf_,
-                    srf_,
-                    lds_,
-                    l1d_,
-                    l1i_,
-                    blocks_,
-                    warps_,
-                    warp_slot_used_,
-                    warp_age_,
-                    resident_blocks_,
-                    resident_warps_,
-                    dispatch_seq_,
-                    rr_cursor_,
-                    gto_last_};
+    return Snapshot{vrf_, srf_, lds_, l1d_, l1i_, captureControl()};
 }
 
 void
@@ -324,25 +311,14 @@ SmCore::restore(const Snapshot& s)
                    s.lds.size() == lds_.size() &&
                    s.srf.has_value() == srf_.has_value() &&
                    s.l1d.has_value() == l1d_.has_value() &&
-                   s.l1i.has_value() == l1i_.has_value() &&
-                   s.blocks.size() == blocks_.size() &&
-                   s.warps.size() == warps_.size(),
+                   s.l1i.has_value() == l1i_.has_value(),
                "checkpoint shape does not match this SM's configuration");
-    pfault_.reset(); // snapshots are taken on fault-free runs
     vrf_ = s.vrf;
     srf_ = s.srf;
     lds_ = s.lds;
     l1d_ = s.l1d;
     l1i_ = s.l1i;
-    blocks_ = s.blocks;
-    warps_ = s.warps;
-    warp_slot_used_ = s.warpSlotUsed;
-    warp_age_ = s.warpAge;
-    resident_blocks_ = s.residentBlocks;
-    resident_warps_ = s.residentWarps;
-    dispatch_seq_ = s.dispatchSeq;
-    rr_cursor_ = s.rrCursor;
-    gto_last_ = s.gtoLast;
+    restoreControl(s.control);
 }
 
 SmCore::ControlState

@@ -182,10 +182,16 @@ class SmCore
     std::optional<TrapKind> flushL1d(RunContext& ctx, Cycle now);
 
     // --- Checkpoint support ----------------------------------------------
+    // A checkpoint splits SM state along the cheap/expensive axis:
+    // control state (blocks, warps, scheduler — kilobytes) is copied in
+    // full per checkpoint, while the storages (megabytes) are anchored
+    // to a cycle-0 Snapshot and move as page deltas.
+
+    struct ControlState; ///< all non-storage mutable state (defined below)
     struct Snapshot; ///< full mid-run state of one SM (defined below)
 
     /** Deep copy of all mutable SM state (storage, blocks, warps,
-     *  scheduler).  Paired with restore() for checkpoint-resume runs. */
+     *  scheduler): the baseline delta checkpoints encode against. */
     Snapshot snapshot() const;
 
     /** Overwrite all mutable state from @p s (taken on a same-config
@@ -203,14 +209,6 @@ class SmCore
      * produce false "diverged" verdicts.
      */
     void hashInto(StateHash& h) const;
-
-    // --- Delta/CoW checkpoint support ------------------------------------
-    // The checkpoint engine v2 splits SM state along the cheap/expensive
-    // axis: control state (blocks, warps, scheduler — kilobytes) is
-    // copied in full per checkpoint, while the storages (megabytes) are
-    // baseline-anchored and move as page deltas.
-
-    struct ControlState; ///< all non-storage mutable state (defined below)
 
     /** Deep copy of the control half only (storages excluded). */
     ControlState captureControl() const;
@@ -333,50 +331,7 @@ class SmCore
 };
 
 /**
- * One SM's complete mid-run state, deep-copied.  Mirrors every mutable
- * member of SmCore; restore() asserts the shape matches the config the
- * snapshot was taken under.  Opaque to everything outside the sim layer
- * (GpuCheckpoint just carries a vector of these).
- */
-struct SmCore::Snapshot
-{
-    WordStorage vrf;
-    std::optional<WordStorage> srf;
-    WordStorage lds;
-    std::optional<CacheModel> l1d;
-    std::optional<CacheModel> l1i;
-    std::vector<BlockContext> blocks;
-    std::vector<WarpContext> warps;
-    std::vector<bool> warpSlotUsed;
-    std::vector<std::uint64_t> warpAge;
-    std::uint32_t residentBlocks = 0;
-    std::uint32_t residentWarps = 0;
-    std::uint64_t dispatchSeq = 0;
-    std::uint32_t rrCursor = 0;
-    std::int32_t gtoLast = -1;
-
-    /** Resident footprint (pack accounting). */
-    std::size_t
-    bytes() const
-    {
-        std::size_t b = sizeof(*this) + vrf.bytes() +
-                        (srf ? srf->bytes() : 0) + lds.bytes() +
-                        (l1d ? l1d->bytes() : 0) +
-                        (l1i ? l1i->bytes() : 0) +
-                        warpSlotUsed.size() / 8 +
-                        warpAge.size() * sizeof(std::uint64_t);
-        for (const BlockContext& blk : blocks)
-            b += sizeof(blk) + blk.warpSlots.size() * sizeof(std::uint32_t);
-        for (const WarpContext& w : warps) {
-            b += sizeof(w) + w.stack.capacity() * sizeof(ReconvEntry) +
-                 (w.vregReady.size() + w.sregReady.size()) * sizeof(Cycle);
-        }
-        return b;
-    }
-};
-
-/**
- * The non-storage half of a Snapshot: block/warp contexts, residency
+ * The non-storage half of an SM's state: block/warp contexts, residency
  * bookkeeping and scheduler cursors.  Small enough (a few KiB) that
  * delta checkpoints copy it whole instead of diffing it.
  */
@@ -405,6 +360,32 @@ struct SmCore::ControlState
                  (w.vregReady.size() + w.sregReady.size()) * sizeof(Cycle);
         }
         return b;
+    }
+};
+
+/**
+ * One SM's complete mid-run state, deep-copied: the five storages plus
+ * the control half.  restore() asserts the shape matches the config the
+ * snapshot was taken under.  Opaque to everything outside the sim layer
+ * (GpuCheckpoint just carries a vector of these).
+ */
+struct SmCore::Snapshot
+{
+    WordStorage vrf;
+    std::optional<WordStorage> srf;
+    WordStorage lds;
+    std::optional<CacheModel> l1d;
+    std::optional<CacheModel> l1i;
+    ControlState control;
+
+    /** Resident footprint (pack accounting); control.bytes() counts
+     *  the embedded ControlState, which sizeof(*this) already holds. */
+    std::size_t
+    bytes() const
+    {
+        return sizeof(*this) - sizeof(control) + control.bytes() +
+               vrf.bytes() + (srf ? srf->bytes() : 0) + lds.bytes() +
+               (l1d ? l1d->bytes() : 0) + (l1i ? l1i->bytes() : 0);
     }
 };
 

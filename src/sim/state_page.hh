@@ -1,7 +1,7 @@
 /**
  * @file
  * Page-granular dirty tracking and delta encoding over flat word arrays —
- * the shared machinery behind the checkpoint engine v2's copy-on-write
+ * the shared machinery behind the checkpoint engine's copy-on-write
  * restore path and its incremental (dirty-page) state hashing.
  *
  * Both WordStorage and MemoryImage keep their words in one contiguous

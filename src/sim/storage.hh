@@ -108,7 +108,7 @@ class WordStorage
     void hashInto(StateHash& h) const;
 
     // --- Delta/CoW checkpoint support ------------------------------------
-    // The page-granular half of the checkpoint engine v2: a baseline-
+    // The page-granular half of the checkpoint engine: a baseline-
     // anchored storage reverts to its baseline by copying only the pages
     // written since markCleanForRestore(), and a delta checkpoint stores
     // only those pages.  The free list, allocation counter and stuck

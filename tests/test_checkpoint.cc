@@ -9,6 +9,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "reliability/campaign.hh"
@@ -27,26 +30,37 @@ buildFor(const GpuConfig& cfg, const char* workload)
     return makeWorkload(workload)->build(cfg.dialect, {});
 }
 
-/** Record a mid-run checkpoint of @p inst on @p cfg. */
-GpuCheckpoint
-midRunCheckpoint(Gpu& gpu, const WorkloadInstance& inst)
+/** Hash-boundary spacing of the recordings below. */
+Cycle
+hashIntervalOf(const RunResult& golden)
 {
-    Gpu probe(gpu.config());
-    const RunResult golden =
-        probe.run(inst.program, inst.launch, inst.image);
-    EXPECT_TRUE(golden.clean());
+    return std::max<Cycle>(1, golden.stats.cycles / 16);
+}
 
+/**
+ * Record the cycle-0 baseline of @p inst plus delta checkpoints at a
+ * quarter, half and three quarters of @p golden's run, and the golden
+ * trajectory hashes into @p hashes.
+ */
+CheckpointRecorder
+recordCheckpoints(Gpu& gpu, const WorkloadInstance& inst,
+                  const RunResult& golden,
+                  std::vector<std::uint64_t>& hashes)
+{
+    const Cycle g = golden.stats.cycles;
+    EXPECT_GT(g, 4u);
     CheckpointRecorder recorder;
-    recorder.checkpointCycles = {golden.stats.cycles / 2};
+    recorder.checkpointCycles = {g / 4, g / 2, (3 * g) / 4};
     RunOptions options;
     options.recorder = &recorder;
-    options.hashInterval = std::max<Cycle>(1, golden.stats.cycles / 16);
+    options.recordHashes = &hashes;
+    options.hashInterval = hashIntervalOf(golden);
     const RunResult rec = gpu.run(inst.program, inst.launch, inst.image,
                                   options);
     EXPECT_TRUE(rec.clean());
-    EXPECT_EQ(rec.stats.cycles, golden.stats.cycles);
-    EXPECT_EQ(recorder.checkpoints.size(), 1u);
-    return std::move(recorder.checkpoints.front());
+    EXPECT_EQ(rec.stats.cycles, g);
+    EXPECT_EQ(recorder.deltas.size(), 4u); // cycle 0 + the three above
+    return recorder;
 }
 
 TEST(Checkpoint, SnapshotMutateRestoreRoundTrip)
@@ -55,8 +69,14 @@ TEST(Checkpoint, SnapshotMutateRestoreRoundTrip)
     const WorkloadInstance inst = buildFor(cfg, "reduction");
 
     Gpu gpu(cfg);
-    const GpuCheckpoint cp = midRunCheckpoint(gpu, inst);
-    EXPECT_GT(cp.now, 0u);
+    const RunResult golden =
+        gpu.run(inst.program, inst.launch, inst.image);
+    ASSERT_TRUE(golden.clean());
+    std::vector<std::uint64_t> hashes;
+    const CheckpointRecorder recorder =
+        recordCheckpoints(gpu, inst, golden, hashes);
+    const GpuCheckpoint& cp = recorder.baseline;
+    EXPECT_GT(cp.nextBlock, 0u); // taken after the initial dispatch
 
     gpu.restore(cp);
     const std::uint64_t h0 = gpu.deviceStateHash();
@@ -76,29 +96,6 @@ TEST(Checkpoint, SnapshotMutateRestoreRoundTrip)
     // ...and restoring the original snapshot brings it back exactly.
     gpu.restore(cp);
     EXPECT_EQ(gpu.deviceStateHash(), h0);
-}
-
-TEST(Checkpoint, ResumedRunReproducesGoldenExactly)
-{
-    const GpuConfig cfg = test::smallCudaConfig();
-    const WorkloadInstance inst = buildFor(cfg, "scan");
-
-    Gpu gpu(cfg);
-    const RunResult golden =
-        gpu.run(inst.program, inst.launch, inst.image);
-    ASSERT_TRUE(golden.clean());
-
-    const GpuCheckpoint cp = midRunCheckpoint(gpu, inst);
-
-    RunOptions options;
-    options.resume = &cp;
-    const RunResult resumed =
-        gpu.run(inst.program, inst.launch, MemoryImage{}, options);
-    ASSERT_TRUE(resumed.clean());
-    EXPECT_EQ(resumed.stats.cycles, golden.stats.cycles);
-    EXPECT_EQ(resumed.stats.warpInstructions,
-              golden.stats.warpInstructions);
-    EXPECT_EQ(resumed.memory.words(), golden.memory.words());
 }
 
 TEST(Checkpoint, PackShapeAndAdoption)
@@ -139,78 +136,95 @@ TEST(Checkpoint, PackShapeAndAdoption)
 }
 
 /**
- * Delta restore is bit-identical to full restore: record the same
- * checkpoint cycles once as full snapshots and once delta-encoded, then
- * resume every checkpoint through both paths and require identical
- * trajectories and final memory words.
+ * Every recorded delta checkpoint reproduces the uninterrupted golden
+ * run: its state hash matches the golden trajectory's at the next
+ * boundary (dead state included), and resumed to the end it gives the
+ * same trap, cycles, warp instructions and final image.  Swept over a
+ * chip with L1/L2 caches (small Fermi) and one with the scalar
+ * register file (small Tahiti).  The deltas resume in descending order
+ * on one anchored device, and the cycle-0 delta resumes again after
+ * each of two faulted resumes, so each restore reverts the previous
+ * run's pages (and stuck-at overlay) through the anchor rather than
+ * starting from a fresh copy.
  */
-TEST(Checkpoint, DeltaResumeMatchesFullResume)
+TEST(Checkpoint, DeltaResumeReproducesGolden)
 {
-    const GpuConfig cfg = test::smallCudaConfig();
-    const WorkloadInstance inst = buildFor(cfg, "reduction");
+    const GpuConfig configs[] = {test::smallCudaConfig(),
+                                 test::smallSiConfig()};
+    for (const GpuConfig& cfg : configs) {
+        for (const char* wname : {"reduction", "scan"}) {
+            SCOPED_TRACE(std::string(wname) + " on " + cfg.name);
+            const WorkloadInstance inst = buildFor(cfg, wname);
 
-    Gpu gpu(cfg);
-    const RunResult golden =
-        gpu.run(inst.program, inst.launch, inst.image);
-    ASSERT_TRUE(golden.clean());
-    const Cycle g = golden.stats.cycles;
-    ASSERT_GT(g, 4u);
+            Gpu gpu(cfg);
+            const RunResult golden =
+                gpu.run(inst.program, inst.launch, inst.image);
+            ASSERT_TRUE(golden.clean());
+            std::vector<std::uint64_t> hashes;
+            const CheckpointRecorder rec =
+                recordCheckpoints(gpu, inst, golden, hashes);
+            ASSERT_EQ(rec.deltas.size(), 4u);
+            EXPECT_EQ(rec.deltas.front().now, 0u);
 
-    CheckpointRecorder full_rec;
-    full_rec.checkpointCycles = {g / 4, g / 2, (3 * g) / 4};
-    RunOptions rec_full;
-    rec_full.recorder = &full_rec;
-    rec_full.hashInterval = std::max<Cycle>(1, g / 16);
-    ASSERT_TRUE(gpu.run(inst.program, inst.launch, inst.image, rec_full)
-                    .clean());
-    ASSERT_EQ(full_rec.checkpoints.size(), 3u);
+            gpu.anchorTo(rec.baseline);
+            MemoryImage scratch = rec.baseline.memory;
+            scratch.markCleanForRestore();
+            auto resume = [&](const GpuCheckpointDelta& d,
+                              std::optional<FaultSpec> fault,
+                              bool hash_early_out) {
+                RunOptions options;
+                options.resumeDelta = &d;
+                options.imageInOut = &scratch;
+                options.fault = fault;
+                options.maxCycles = 4 * golden.stats.cycles;
+                if (hash_early_out) {
+                    options.hashInterval = hashIntervalOf(golden);
+                    options.goldenHashes = &hashes;
+                }
+                return gpu.run(inst.program, inst.launch, MemoryImage{},
+                               options);
+            };
+            auto expect_golden = [&](std::size_t i) {
+                const GpuCheckpointDelta& d = rec.deltas[i];
+                EXPECT_TRUE(resume(d, std::nullopt, true).convergedToGolden)
+                    << "delta " << i;
+                const RunResult r = resume(d, std::nullopt, false);
+                EXPECT_EQ(r.trap, golden.trap) << "delta " << i;
+                EXPECT_EQ(r.stats.cycles, golden.stats.cycles)
+                    << "delta " << i;
+                EXPECT_EQ(r.stats.warpInstructions,
+                          golden.stats.warpInstructions)
+                    << "delta " << i;
+                EXPECT_EQ(scratch.words(), golden.memory.words())
+                    << "delta " << i;
+            };
 
-    CheckpointRecorder delta_rec;
-    delta_rec.delta = true;
-    delta_rec.checkpointCycles = full_rec.checkpointCycles;
-    RunOptions rec_delta;
-    rec_delta.recorder = &delta_rec;
-    rec_delta.hashInterval = rec_full.hashInterval;
-    ASSERT_TRUE(gpu.run(inst.program, inst.launch, inst.image, rec_delta)
-                    .clean());
-    ASSERT_EQ(delta_rec.deltas.size(), 4u); // cycle 0 + the three above
+            for (std::size_t i = rec.deltas.size(); i-- > 0;)
+                expect_golden(i);
 
-    for (std::size_t i = 0; i < full_rec.checkpoints.size(); ++i) {
-        RunOptions full;
-        full.resume = &full_rec.checkpoints[i];
-        const RunResult a =
-            gpu.run(inst.program, inst.launch, MemoryImage{}, full);
-
-        gpu.anchorTo(delta_rec.baseline);
-        MemoryImage scratch = delta_rec.baseline.memory;
-        scratch.markCleanForRestore();
-        RunOptions delta;
-        delta.resumeBaseline = &delta_rec.baseline;
-        delta.resumeDelta = &delta_rec.deltas[i + 1];
-        delta.imageInOut = &scratch;
-        const RunResult b =
-            gpu.run(inst.program, inst.launch, MemoryImage{}, delta);
-
-        EXPECT_EQ(a.trap, b.trap);
-        EXPECT_EQ(a.stats.cycles, b.stats.cycles);
-        EXPECT_EQ(a.stats.warpInstructions, b.stats.warpInstructions);
-        EXPECT_EQ(a.memory.words(), scratch.words());
-        EXPECT_EQ(a.stats.cycles, g);
+            // Faulted resumes from the first mid-run checkpoint: a
+            // stuck-at-1 register bit (a read overlay plus corrupted
+            // values), then a flip in the last register-file bit, dead
+            // state the run never rewrites.  The cycle-0 delta carries
+            // no pages, so the resume after each must revert every
+            // page the faulted run dirtied.
+            FaultSpec stuck;
+            stuck.structure = TargetStructure::VectorRegisterFile;
+            stuck.bitIndex = 32 * 3 + 5;
+            stuck.cycle = rec.deltas[1].now;
+            stuck.behavior = FaultBehavior::StuckAt1;
+            FaultSpec dead = stuck;
+            dead.structure = cfg.scalarRegWordsPerSm > 0
+                                 ? TargetStructure::ScalarRegisterFile
+                                 : TargetStructure::VectorRegisterFile;
+            dead.bitIndex = gpu.structureBits(dead.structure) - 1;
+            dead.behavior = FaultBehavior::Transient;
+            for (const FaultSpec& fault : {stuck, dead}) {
+                resume(rec.deltas[1], fault, false);
+                expect_golden(0);
+            }
+        }
     }
-
-    // The trivial cycle-0 delta reproduces the run from the top.
-    gpu.anchorTo(delta_rec.baseline);
-    MemoryImage scratch = delta_rec.baseline.memory;
-    scratch.markCleanForRestore();
-    RunOptions from_zero;
-    from_zero.resumeBaseline = &delta_rec.baseline;
-    from_zero.resumeDelta = &delta_rec.deltas.front();
-    from_zero.imageInOut = &scratch;
-    const RunResult z =
-        gpu.run(inst.program, inst.launch, MemoryImage{}, from_zero);
-    EXPECT_TRUE(z.clean());
-    EXPECT_EQ(z.stats.cycles, g);
-    EXPECT_EQ(scratch.words(), golden.memory.words());
 }
 
 /**

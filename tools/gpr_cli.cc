@@ -219,15 +219,8 @@ cmdAnalyze(const std::string& workload, const std::string& gpu,
            const char* n_arg, bool json)
 {
     ReliabilityFramework fw(gpuModelFromName(gpu));
-    std::size_t injections = 400;
-    if (n_arg) {
-        const auto n = parseInt(n_arg);
-        if (!n || *n < 0) {
-            fatal("analyze: injection count '", n_arg,
-                  "' is not a non-negative integer");
-        }
-        injections = static_cast<std::size_t>(*n);
-    }
+    const std::size_t injections =
+        n_arg ? parseInjectionCount("analyze", n_arg) : 400;
     const StudySpec spec =
         StudySpecBuilder().injections(injections).build();
     const ReliabilityReport report = fw.analyze(workload, spec);
