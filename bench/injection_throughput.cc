@@ -16,6 +16,9 @@
  *           [--structures=a,b] [--behaviors=a,b] [--injections=N]
  *           [--checkpoints=N] [--seed=S]
  *
+ * --injections takes a positive integer, --checkpoints and --seed
+ * non-negative ones; anything else exits 2 with an error message.
+ *
  * By default every registered structure applicable to a cell is run
  * (including the control-state targets, which skip the dead-window
  * prefilter); --structures restricts to a registry subset, e.g. the
@@ -105,6 +108,19 @@ run(int argc, char** argv)
     unsigned checkpoints = kDefaultCheckpoints;
     std::uint64_t seed = 0xC0FFEE;
 
+    // A malformed count is refused, never replaced by its default.
+    const auto int_flag = [](const std::string& arg, std::string_view flag,
+                             std::int64_t min) {
+        const std::string text = arg.substr(flag.size() + 1);
+        const auto n = parseInt(text);
+        if (!n || *n < min) {
+            fatal("bench_injection_throughput: ", flag, " must be a ",
+                  min > 0 ? "positive" : "non-negative", " integer, got '",
+                  text, "'");
+        }
+        return *n;
+    };
+
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (startsWith(arg, "--workloads=")) {
@@ -127,20 +143,13 @@ run(int argc, char** argv)
                 return 2;
             }
         } else if (startsWith(arg, "--injections=")) {
-            const auto n =
-                parseInt(arg.substr(std::string("--injections=").size()));
-            if (n && *n > 0)
-                injections = static_cast<std::size_t>(*n);
+            injections =
+                static_cast<std::size_t>(int_flag(arg, "--injections", 1));
         } else if (startsWith(arg, "--checkpoints=")) {
-            const auto n =
-                parseInt(arg.substr(std::string("--checkpoints=").size()));
-            if (n && *n >= 0)
-                checkpoints = static_cast<unsigned>(*n);
+            checkpoints =
+                static_cast<unsigned>(int_flag(arg, "--checkpoints", 0));
         } else if (startsWith(arg, "--seed=")) {
-            const auto s =
-                parseInt(arg.substr(std::string("--seed=").size()));
-            if (s)
-                seed = static_cast<std::uint64_t>(*s);
+            seed = static_cast<std::uint64_t>(int_flag(arg, "--seed", 0));
         } else {
             std::fprintf(stderr,
                          "usage: bench_injection_throughput "

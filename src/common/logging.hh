@@ -6,7 +6,10 @@
  *              user input — an internal bug.  Aborts (throws PanicError so
  *              tests can observe it; the default terminate handler aborts).
  *  - fatal():  the run cannot continue because of a *user* error (bad
- *              configuration, malformed assembly, ...).  Throws FatalError.
+ *              configuration, malformed assembly, ...).  Throws FatalError
+ *              and prints nothing: a caller may catch it (a torn store
+ *              line is skipped), and runToolMain reports an uncaught one
+ *              once, as "error: ...".
  *  - warn()/inform(): non-fatal status messages on stderr.
  *
  * Simulation traps caused by injected faults are NOT errors and never go
@@ -61,14 +64,12 @@ panic(Args&&... args)
     throw PanicError(msg);
 }
 
-/** Report an unrecoverable user error. */
+/** Report an unrecoverable user error (throws; see the file comment). */
 template <typename... Args>
 [[noreturn]] void
 fatal(Args&&... args)
 {
-    std::string msg = detail::concat(std::forward<Args>(args)...);
-    detail::logMessage("fatal", msg);
-    throw FatalError(msg);
+    throw FatalError(detail::concat(std::forward<Args>(args)...));
 }
 
 /** Report a suspicious-but-survivable condition. */

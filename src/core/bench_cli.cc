@@ -1,7 +1,6 @@
 #include "core/bench_cli.hh"
 
 #include <cstdio>
-#include <cstdlib>
 #include <ostream>
 
 #include "common/logging.hh"
@@ -20,7 +19,7 @@ usage()
         stderr,
         "flags: --spec=FILE --dump-spec --dry-run\n"
         "       --injections=N --confidence=C --margin=M\n"
-        "       --max-injections=N --seed=S --threads=T\n"
+        "       --max-injections=N --seed=S\n"
         "       --jobs=N --shards=N --checkpoints=N --store=FILE\n"
         "       --resume[=FILE] --workloads=a,b,...\n"
         "       --gpus=7970,fx5600,fx5800,gtx480\n"
@@ -34,8 +33,7 @@ usage()
         "        rate's CI half-width <= M, capped at --max-injections\n"
         "        [default: the fixed-size equivalent].  --checkpoints=0\n"
         "        runs every injection from scratch — the legacy engine\n"
-        "        kept for differential testing)\n"
-        "env:   GPR_INJECTIONS overrides the default injection count\n");
+        "        kept for differential testing)\n");
 }
 
 } // namespace
@@ -44,10 +42,6 @@ bool
 BenchCli::parse(int argc, char** argv)
 {
     spec.plan.injections = kDefaultInjections;
-    if (const char* env = std::getenv("GPR_INJECTIONS")) {
-        if (const auto n = parseInt(env); n && *n >= 0)
-            spec.plan.injections = static_cast<std::size_t>(*n);
-    }
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
@@ -97,10 +91,8 @@ BenchCli::parse(int argc, char** argv)
                 return false;
             }
             spec.seed = static_cast<std::uint64_t>(*s);
-        } else if (startsWith(arg, "--threads=") ||
-                   startsWith(arg, "--jobs=")) {
-            const auto t = parseInt(
-                value(startsWith(arg, "--jobs=") ? "--jobs=" : "--threads="));
+        } else if (startsWith(arg, "--jobs=")) {
+            const auto t = parseInt(value("--jobs="));
             if (!t || *t < 0) {
                 usage();
                 return false;

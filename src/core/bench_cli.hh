@@ -1,6 +1,6 @@
 /**
  * @file
- * Command-line/environment parsing shared by gpr_cli, the bench
+ * Command-line parsing shared by gpr_cli, the bench
  * harnesses and the examples.  The flags are a thin veneer over
  * StudySpec — every run is describable as (and reproducible from) one
  * spec JSON artifact.
@@ -14,7 +14,7 @@
  *                     shard counts, total injections, golden runs)
  *                     without executing anything
  *   --injections=N    FI samples per structure (default 150; the paper's
- *                     value is 2000).  Env fallback: GPR_INJECTIONS.
+ *                     value is 2000)
  *   --confidence=C    confidence level for margins (default 0.99)
  *   --margin=M        > 0 switches to adaptive sequential stopping:
  *                     each campaign injects until every rate's (SDC,
@@ -23,8 +23,7 @@
  *   --max-injections=N  adaptive cap per campaign (default: the
  *                     fixed-size equivalent of (margin, confidence))
  *   --seed=S          campaign seed (default 0xC0FFEE)
- *   --threads=T       worker threads (default: hardware concurrency)
- *   --jobs=N          alias of --threads (orchestrator wording)
+ *   --jobs=N          worker threads (default: hardware concurrency)
  *   --shards=N        campaign shards (default: derived from the plan)
  *   --checkpoints=N   golden-run checkpoint budget for the
  *                     checkpoint-restore injection engine (default

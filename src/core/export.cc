@@ -357,9 +357,16 @@ class JsonParser
         const char c = peek();
         switch (c) {
           case '{':
-            return parseObject();
-          case '[':
-            return parseArray();
+          case '[': {
+            // The parser recurses once per level: bound it, so a deep
+            // input fails cleanly instead of exhausting the stack.
+            // Specs and store lines nest at most 4 levels.
+            if (++depth_ > kMaxDepth)
+                fail(strprintf("nesting deeper than %u levels", kMaxDepth));
+            JsonValue v = c == '{' ? parseObject() : parseArray();
+            --depth_;
+            return v;
+          }
           case '"':
             return JsonValue::makeString(parseString());
           case 't':
@@ -520,8 +527,11 @@ class JsonParser
         }
     }
 
+    static constexpr unsigned kMaxDepth = 64;
+
     std::string_view text_;
     std::size_t pos_ = 0;
+    unsigned depth_ = 0;
 };
 
 } // namespace
@@ -692,58 +702,72 @@ writeStudyCsv(std::ostream& os, const StudyResult& study)
 
 namespace {
 
-/**
- * Locate the raw value token of @p key in a flat one-line JSON object we
- * emitted ourselves (string values never contain escapes: workload and
- * GPU names are plain identifiers).  Not a general JSON parser.
- */
+/** The header a parsed store line holds; false when it holds none.
+ *  Throws FatalError on a header field of the wrong kind. */
 bool
-findField(std::string_view line, std::string_view key, std::string_view& out)
+headerFromJson(const JsonValue& v, StoreHeader& out)
 {
-    const std::string needle = "\"" + std::string(key) + "\":";
-    const auto pos = line.find(needle);
-    if (pos == std::string_view::npos)
+    const JsonValue* version = v.find("gpr_store");
+    const JsonValue* hash = v.find("spec_hash");
+    if (!version || !hash)
         return false;
-    std::size_t begin = pos + needle.size();
-    if (begin >= line.size())
-        return false;
-    std::size_t end;
-    if (line[begin] == '"') {
-        ++begin;
-        end = line.find('"', begin);
-        if (end == std::string_view::npos)
-            return false;
-    } else {
-        end = line.find_first_of(",}", begin);
-        if (end == std::string_view::npos)
-            return false;
-    }
-    out = line.substr(begin, end - begin);
+    StoreHeader h;
+    h.version = version->asU64();
+    h.specHash = hash->asString();
+    out = std::move(h);
     return true;
 }
 
+/** The shard record a parsed store line holds; false for an unknown
+ *  name or counts that do not cover the stated range.  Throws
+ *  FatalError on a missing field or one of the wrong kind. */
 bool
-fieldU64(std::string_view line, std::string_view key, std::uint64_t& out)
+recordFromJson(const JsonValue& v, ShardRecord& out)
 {
-    std::string_view tok;
-    if (!findField(line, key, tok) || tok.empty())
+    const auto field = [&v](std::string_view key) -> const JsonValue& {
+        const JsonValue* f = v.find(key);
+        if (!f)
+            fatal("store record lacks '", key, "'");
+        return *f;
+    };
+    ShardRecord r;
+    r.key.workload = field("workload").asString();
+    r.key.gpu = gpuModelFromName(field("gpu").asString());
+    if (!tryTargetStructureFromName(field("structure").asString(),
+                                    r.key.structure)) {
         return false;
-    char* end = nullptr;
-    const std::string s(tok);
-    out = std::strtoull(s.c_str(), &end, 10);
-    return end && *end == '\0';
-}
+    }
+    r.key.shardIndex = static_cast<std::uint32_t>(field("shard").asU64());
+    r.key.injectionBegin = field("begin").asU64();
+    r.key.injectionEnd = field("end").asU64();
+    r.key.campaignSeed = field("campaign_seed").asU64();
+    r.key.workloadSeed = field("workload_seed").asU64();
+    r.counts.masked = field("masked").asU64();
+    r.counts.sdc = field("sdc").asU64();
+    r.counts.due = field("due").asU64();
+    r.counts.busySeconds = field("busy_seconds").asDouble();
 
-bool
-fieldDouble(std::string_view line, std::string_view key, double& out)
-{
-    std::string_view tok;
-    if (!findField(line, key, tok) || tok.empty())
+    // Optional shape fields; absent means the default (pre-shape
+    // stores carry no behavior/pattern keys).
+    const JsonValue* behavior = v.find("behavior");
+    if (behavior &&
+        !tryFaultBehaviorFromName(behavior->asString(), r.key.behavior)) {
         return false;
-    char* end = nullptr;
-    const std::string s(tok);
-    out = std::strtod(s.c_str(), &end);
-    return end && *end == '\0';
+    }
+    const JsonValue* pattern = v.find("pattern");
+    if (pattern &&
+        !tryFaultPatternFromName(pattern->asString(), r.key.pattern)) {
+        return false;
+    }
+
+    // Internal consistency: counts must cover exactly the stated range.
+    const std::uint64_t n = r.counts.masked + r.counts.sdc + r.counts.due;
+    if (r.key.injectionEnd < r.key.injectionBegin ||
+        n != r.key.injectionEnd - r.key.injectionBegin) {
+        return false;
+    }
+    out = std::move(r);
+    return true;
 }
 
 } // namespace
@@ -764,16 +788,7 @@ bool
 parseStoreHeader(std::string_view line, StoreHeader& out)
 {
     try {
-        const JsonValue v = parseJson(line);
-        const JsonValue* version = v.find("gpr_store");
-        const JsonValue* hash = v.find("spec_hash");
-        if (!version || !hash)
-            return false;
-        StoreHeader h;
-        h.version = version->asU64();
-        h.specHash = hash->asString();
-        out = std::move(h);
-        return true;
+        return headerFromJson(parseJson(line), out);
     } catch (const FatalError&) {
         return false;
     }
@@ -808,66 +823,15 @@ writeShardRecord(std::ostream& os, const ShardRecord& record)
 bool
 parseShardRecord(std::string_view line, ShardRecord& out)
 {
-    // A complete record ends in '}' — a truncated tail line does not.
-    const auto close = line.find_last_not_of(" \t\r");
-    if (close == std::string_view::npos || line[close] != '}')
-        return false;
-
-    std::string_view workload, gpu, structure;
-    if (!findField(line, "workload", workload) ||
-        !findField(line, "gpu", gpu) ||
-        !findField(line, "structure", structure)) {
-        return false;
-    }
-
-    ShardRecord r;
-    r.key.workload = std::string(workload);
-    if (!tryTargetStructureFromName(structure, r.key.structure))
-        return false;
     try {
-        r.key.gpu = gpuModelFromName(gpu);
+        return recordFromJson(parseJson(line), out);
     } catch (const FatalError&) {
         return false;
     }
-
-    std::uint64_t shard = 0;
-    if (!fieldU64(line, "shard", shard) ||
-        !fieldU64(line, "begin", r.key.injectionBegin) ||
-        !fieldU64(line, "end", r.key.injectionEnd) ||
-        !fieldU64(line, "campaign_seed", r.key.campaignSeed) ||
-        !fieldU64(line, "workload_seed", r.key.workloadSeed) ||
-        !fieldU64(line, "masked", r.counts.masked) ||
-        !fieldU64(line, "sdc", r.counts.sdc) ||
-        !fieldU64(line, "due", r.counts.due) ||
-        !fieldDouble(line, "busy_seconds", r.counts.busySeconds)) {
-        return false;
-    }
-    r.key.shardIndex = static_cast<std::uint32_t>(shard);
-
-    // Optional shape fields; absent means the default (pre-shape
-    // stores carry no behavior/pattern keys).
-    std::string_view behavior, pattern;
-    if (findField(line, "behavior", behavior) &&
-        !tryFaultBehaviorFromName(behavior, r.key.behavior)) {
-        return false;
-    }
-    if (findField(line, "pattern", pattern) &&
-        !tryFaultPatternFromName(pattern, r.key.pattern)) {
-        return false;
-    }
-
-    // Internal consistency: counts must cover exactly the stated range.
-    const std::uint64_t n = r.counts.masked + r.counts.sdc + r.counts.due;
-    if (r.key.injectionEnd < r.key.injectionBegin ||
-        n != r.key.injectionEnd - r.key.injectionBegin) {
-        return false;
-    }
-    out = std::move(r);
-    return true;
 }
 
 std::vector<ShardRecord>
-readShardStore(std::istream& is)
+readShardStore(std::istream& is, std::vector<StoreHeader>* headers)
 {
     std::vector<ShardRecord> records;
     // Size the record vector from the stream length up front (records
@@ -886,9 +850,19 @@ readShardStore(std::istream& is)
     std::string line;
     line.reserve(256);
     while (std::getline(is, line)) {
-        ShardRecord r;
-        if (parseShardRecord(line, r))
-            records.push_back(std::move(r));
+        // One parse per line; a malformed or torn line is skipped.
+        try {
+            const JsonValue v = parseJson(line);
+            StoreHeader header;
+            ShardRecord r;
+            if (headerFromJson(v, header)) {
+                if (headers)
+                    headers->push_back(std::move(header));
+            } else if (recordFromJson(v, r)) {
+                records.push_back(std::move(r));
+            }
+        } catch (const FatalError&) {
+        }
     }
     return records;
 }

@@ -68,7 +68,7 @@ class JsonWriter
 
 // ------------------------------------------------------------------------
 // JSON reader — the parsing counterpart of JsonWriter, sized for the
-// shapes this repository serialises (specs, store headers).  Numbers keep
+// shapes this repository serialises (specs, store lines).  Numbers keep
 // their raw token so 64-bit seeds survive exactly.
 
 class JsonValue
@@ -120,7 +120,8 @@ class JsonValue
 };
 
 /** Parse one JSON document (trailing garbage is an error).  Throws
- *  FatalError with a byte offset on malformed input. */
+ *  FatalError with a byte offset on malformed input, including arrays
+ *  and objects nested deeper than 64 levels. */
 JsonValue parseJson(std::string_view text);
 
 /** Serialise one per-benchmark report as a JSON object. */
@@ -166,8 +167,13 @@ void writeShardRecord(std::ostream& os, const ShardRecord& record);
  *  lines (the caller should skip them, not abort). */
 bool parseShardRecord(std::string_view line, ShardRecord& out);
 
-/** Read every well-formed record from a shard-store stream. */
-std::vector<ShardRecord> readShardStore(std::istream& is);
+/**
+ * Read every well-formed record from a shard-store stream, parsing each
+ * line once.  Header lines, recognised at any line, are appended to
+ * @p headers when it is set; malformed and truncated lines are skipped.
+ */
+std::vector<ShardRecord> readShardStore(
+    std::istream& is, std::vector<StoreHeader>* headers = nullptr);
 
 } // namespace gpr
 

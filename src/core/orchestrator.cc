@@ -393,44 +393,27 @@ runStudy(const StudySpec& spec, StudyProgress* progress_out)
     bool backfill_header = false;
     if (spec.resume && !spec.storePath.empty()) {
         const auto load0 = std::chrono::steady_clock::now();
-        // Line-at-a-time parsing over the default stream buffer is
-        // seek-free but syscall-heavy on large stores; a wide buffer
-        // plus a pre-reserved line string keeps resume replay at memory
-        // bandwidth.
-        std::vector<char> iobuf(std::size_t{1} << 20);
-        std::ifstream in;
-        in.rdbuf()->pubsetbuf(iobuf.data(),
-                              static_cast<std::streamsize>(iobuf.size()));
-        in.open(spec.storePath);
+        std::ifstream in(spec.storePath);
         if (in) {
             store_exists = true;
             // Header records are recognised at any line, not just the
             // first: a run killed before its header flushed — or a
             // legacy store that was back-filled on a previous resume —
             // must not lose the guard.
-            bool saw_header = false;
-            std::string line;
-            line.reserve(256);
-            while (std::getline(in, line)) {
-                StoreHeader header;
-                if (parseStoreHeader(line, header)) {
-                    saw_header = true;
-                    if (header.specHash != spec.campaignHashHex()) {
-                        fatal("shard store '", spec.storePath,
-                              "' was written under campaign spec ",
-                              header.specHash,
-                              " but the current spec is ",
-                              spec.campaignHashHex(),
-                              "; refusing to resume a mismatched store "
-                              "(use a fresh --store to start over)");
-                    }
-                    continue;
+            std::vector<StoreHeader> headers;
+            for (ShardRecord& r : readShardStore(in, &headers))
+                checkpointed[std::move(r.key)] = r.counts;
+            for (const StoreHeader& header : headers) {
+                if (header.specHash != spec.campaignHashHex()) {
+                    fatal("shard store '", spec.storePath,
+                          "' was written under campaign spec ",
+                          header.specHash, " but the current spec is ",
+                          spec.campaignHashHex(),
+                          "; refusing to resume a mismatched store "
+                          "(use a fresh --store to start over)");
                 }
-                ShardRecord r;
-                if (parseShardRecord(line, r))
-                    checkpointed[std::move(r.key)] = r.counts;
             }
-            if (!saw_header) {
+            if (headers.empty()) {
                 warn("shard store '", spec.storePath,
                      "' has no spec header (older version, or a run "
                      "killed before the header flushed); resuming with "

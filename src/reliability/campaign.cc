@@ -25,7 +25,9 @@ runInjectionRange(FaultInjector& injector, TargetStructure structure,
     GPR_ASSERT(begin <= end && (!records || records->size() >= end),
                "injection range outside the record buffer");
     OutcomeCounts counts;
-    const auto tally = [&](const InjectionResult& r, std::uint64_t index) {
+    for (std::uint64_t i = begin; i < end; ++i) {
+        const InjectionResult r =
+            runIndexedInjection(injector, structure, campaign_seed, i, shape);
         switch (r.outcome) {
           case FaultOutcome::Masked:
             ++counts.masked;
@@ -38,42 +40,8 @@ runInjectionRange(FaultInjector& injector, TargetStructure structure,
             break;
         }
         if (records)
-            (*records)[index] = r;
-    };
-
-    if (!injector.checkpointPack() ||
-        !faultBehaviorPersistent(shape.behavior)) {
-        for (std::uint64_t i = begin; i < end; ++i) {
-            tally(runIndexedInjection(injector, structure, campaign_seed,
-                                      i, shape),
-                  i);
-        }
-        return counts;
+            (*records)[i] = r;
     }
-
-    // Shared-restore batching: sampling is a pure function of
-    // (seed, index), so the range's faults are drawn up front and run
-    // sorted by the checkpoint that serves them.
-    struct Drawn
-    {
-        std::uint64_t index;
-        std::size_t checkpoint;
-        FaultSpec fault;
-    };
-    std::vector<Drawn> batch;
-    batch.reserve(end - begin);
-    for (std::uint64_t i = begin; i < end; ++i) {
-        Rng rng(deriveSeed(campaign_seed, i));
-        const FaultSpec fault =
-            injector.sampleRandom(structure, rng, shape);
-        batch.push_back({i, injector.checkpointIndexFor(fault.cycle), fault});
-    }
-    std::stable_sort(batch.begin(), batch.end(),
-                     [](const Drawn& a, const Drawn& b) {
-                         return a.checkpoint < b.checkpoint;
-                     });
-    for (const Drawn& d : batch)
-        tally(injector.inject(d.fault), d.index);
     return counts;
 }
 
@@ -113,11 +81,6 @@ runCampaign(const GpuConfig& config, const WorkloadInstance& instance,
     if (cc.keepRecords)
         records.resize(cap);
 
-    // Shared-restore batching sorts within a range, so batched workers
-    // fetch chunks of 32; a transient fault runs one index at a time.
-    const std::size_t stride =
-        pack && faultBehaviorPersistent(cc.shape.behavior) ? 32 : 1;
-
     // Run injections [begin, end) and fold their outcomes into the
     // result.  Adaptive campaigns call this once per look of the
     // schedule; fixed campaigns once for the whole plan.
@@ -137,12 +100,11 @@ runCampaign(const GpuConfig& config, const WorkloadInstance& instance,
 
             const auto t0 = std::chrono::steady_clock::now();
             while (true) {
-                const std::size_t i0 = next.fetch_add(stride);
-                if (i0 >= end)
+                const std::size_t i = next.fetch_add(1);
+                if (i >= end)
                     break;
                 const OutcomeCounts chunk = runInjectionRange(
-                    injector, structure, cc.seed, cc.shape, i0,
-                    std::min(end, i0 + stride),
+                    injector, structure, cc.seed, cc.shape, i, i + 1,
                     cc.keepRecords ? &records : nullptr);
                 local.masked += chunk.masked;
                 local.sdc += chunk.sdc;

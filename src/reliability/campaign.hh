@@ -160,15 +160,9 @@ struct OutcomeCounts
 /**
  * The injection loop every execution engine runs: injections
  * [@p begin, @p end) of the campaign seeded with @p campaign_seed, each
- * drawn by the runIndexedInjection() scheme and tallied by outcome.
- * runCampaign() calls it once per chunk its workers fetch, a study
- * shard once for the whole shard.
- *
- * With a checkpoint pack armed and a persistent @p shape, the range's
- * faults are pre-drawn and executed grouped by checkpoint interval
- * (shared-restore batching), so consecutive injections restore from
- * the same delta with a warm scratch image.  The counts are
- * order-independent, so they stay bit-identical to index order.
+ * drawn by the runIndexedInjection() scheme, run in index order and
+ * tallied by outcome.  runCampaign() calls it once per index its
+ * workers fetch, a study shard once for the whole shard.
  * When @p records is set, (*records)[i] receives injection i's result;
  * it must hold at least @p end entries.
  */

@@ -294,8 +294,8 @@ FaultInjector::inject(const FaultSpec& fault)
     if (pack_) {
         // Hash early-out: unconditional for transient faults; for
         // persistent ones only past the residency threshold, where a
-        // match of the canonical (stuck-at) or raw (intermittent) hash
-        // provably pins the rest of the run to the golden trajectory.
+        // trajectory-hash match provably pins the rest of the run to
+        // the golden trajectory.
         // Restoring from the nearest checkpoint is exact either way
         // (the trajectory is golden up to the fault cycle regardless
         // of what the fault does later).

@@ -251,8 +251,8 @@ class FaultInjector
      * value-residency prefilter classifies a fault whose forced value
      * agrees with every remaining golden read as Masked with zero
      * simulation, and past the residency agree-from cycle the run
-     * compares its (canonical for stuck-at, raw for intermittent)
-     * trajectory hash against golden and early-outs on a match.
+     * compares its trajectory hash against golden and early-outs on a
+     * match.
      * A transient flip in a cache data word outside every window is
      * Masked with zero simulation like a word-storage flip; cache
      * metadata bits, groups spanning two data words, persistent cache
@@ -268,10 +268,9 @@ class FaultInjector
      * shape-specific parameters) is pinned: default-shape sampling is
      * bit-identical to the original single-flip model, and intermittent
      * duty-cycle parameters are derived from the same per-injection
-     * stream deterministically.  Splitting sampling from injection lets
-     * runInjectionRange() pre-draw a batch and execute it grouped by
-     * checkpoint interval (outcomes are a pure function of the fault,
-     * so execution order is free).
+     * stream deterministically.  Callers that need the fault before
+     * running it (the study benchmark's traced re-execution) sample
+     * here and pass the result to inject().
      */
     FaultSpec sampleRandom(TargetStructure structure, Rng& rng,
                            const FaultShape& shape = {});
@@ -281,10 +280,8 @@ class FaultInjector
                                  const FaultShape& shape = {});
 
     /** Index of the armed pack's delta checkpoint that serves a fault
-     *  at @p cycle (0 without a pack — everything replays from cycle
-     *  0).  Shared-restore batching sorts same-cell persistent
-     *  injections by this key so consecutive runs reuse the same
-     *  restore point. */
+     *  at @p cycle: the last one at or before it (0 without a pack —
+     *  everything replays from cycle 0).  inject() resumes from it. */
     std::size_t checkpointIndexFor(Cycle cycle) const;
 
     /** The device (for structure sizes). */

@@ -84,7 +84,6 @@ Gpu::applyFault(const FaultSpec& fault)
     pf.firstBit = local;
     pf.mask = mask;
     pf.value = faultForcedValue(fault);
-    pf.alwaysActive = fault.behavior != FaultBehavior::Intermittent;
     if (!chip) {
         sms_[instance]->bindPersistentFault(pf);
         persistent_sm_ = static_cast<std::int64_t>(instance);
@@ -453,8 +452,8 @@ Gpu::run(const Program& prog, const LaunchConfig& launch, MemoryImage image,
                 // fingerprint here means the remaining trajectory is the
                 // golden one — classify without simulating it.  For a
                 // persistent fault the comparison additionally waits for
-                // convergeMinCycle, past which value residency makes the
-                // (canonical) match imply golden continuation.
+                // convergeMinCycle, past which value residency makes a
+                // match imply golden continuation.
                 const std::size_t idx =
                     static_cast<std::size_t>(now / hash_interval) - 1;
                 const auto t0 = PhaseClock::now();

@@ -168,8 +168,7 @@ struct RunOptions
      *  persistent faults the injector sets this to the fault's
      *  value-residency agree-from cycle: from there on every golden
      *  read of the stuck word observes the forced value, so a matching
-     *  (canonical for stuck-at, raw for intermittent) hash pins the
-     *  rest of the run to the golden trajectory. */
+     *  hash pins the rest of the run to the golden trajectory. */
     Cycle convergeMinCycle = 0;
 };
 

@@ -102,14 +102,8 @@ SmCore::bindPersistentFault(const PersistentFault& fault)
         const auto word = static_cast<std::uint32_t>(fault.firstBit / 32);
         const auto shift = static_cast<unsigned>(fault.firstBit % 32);
         const Word word_mask = static_cast<Word>(fault.mask) << shift;
-        WordStorage& storage = storageFor(fault.structure);
-        storage.setStuckBits(word, word_mask, fault.value ? word_mask : 0);
-        // A stuck-at overlay is active from the fault cycle to the end
-        // of the run, so the observable value of the stuck word is its
-        // overlaid one — hash that (the persistent early-out compares
-        // against golden raw hashes; see WordStorage::hashInto).
-        if (fault.alwaysActive)
-            storage.setHashOverlayCanonical(true);
+        storageFor(fault.structure)
+            .setStuckBits(word, word_mask, fault.value ? word_mask : 0);
     }
 }
 

@@ -146,11 +146,6 @@ class SmCore
         BitIndex firstBit = 0;       ///< SM-local, pattern-aligned
         std::uint64_t mask = 1;      ///< bit k = local bit firstBit + k
         bool value = false;          ///< forced value while active
-        /** True for stuck-at faults (active every cycle once applied);
-         *  false for intermittent ones.  An always-active storage
-         *  overlay arms canonical hashing (WordStorage hashes the
-         *  overlaid value), enabling the persistent hash early-out. */
-        bool alwaysActive = true;
     };
 
     /**

@@ -155,22 +155,6 @@ class PageTracker
     }
 
     /**
-     * Cached salted digest of page @p p.  Valid only while the page is
-     * not hash-dirty — i.e. immediately after a digestSum() pass — which
-     * is exactly when the canonical-overlay hash needs it to swap one
-     * page's contribution out of the sum.
-     */
-    std::uint64_t
-    cachedPageDigest(std::size_t p) const
-    {
-        GPR_ASSERT(p < digest_.size() &&
-                       (hash_dirty_[p >> 6] &
-                        (std::uint64_t{1} << (p & 63))) == 0,
-                   "page digest not cached");
-        return digest_[p];
-    }
-
-    /**
      * Copy every restore-dirty page of @p words back from @p baseline
      * (same size), clearing the restore-dirty set and marking the
      * reverted pages hash-dirty.  After this the array's content equals
@@ -275,12 +259,8 @@ class PageTracker
      * per-task and never share.  The only cross-thread object is the
      * cell's CheckpointPack, which is adopted through
      * shared_ptr<const CheckpointPack> — its trackers are never hashed
-     * or reverted after publication.  Shard pre-draw batching keeps
-     * this property: sampleRandom() only draws from the injector's own
-     * RNG stream and reads pack windows (const); the stable_sort and
-     * the subsequent inject() calls all run on the worker that owns
-     * the injector.  Verified dynamically by the TSan CI job over the
-     * campaign/checkpoint/orchestrator test subset.
+     * or reverted after publication.  Verified dynamically by the TSan
+     * CI job over the campaign/checkpoint/orchestrator test subset.
      */
     // gpr:guarded_by(single-writer: owning FaultInjector's worker task)
     mutable std::vector<std::uint64_t> hash_dirty_;

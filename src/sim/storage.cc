@@ -42,21 +42,12 @@ WordStorage::setStuckEnabled(bool enabled)
 }
 
 void
-WordStorage::setHashOverlayCanonical(bool on)
-{
-    GPR_ASSERT(!on || stuck_mask_ != 0,
-               "canonical overlay hashing needs a bound overlay");
-    hash_overlay_canonical_ = on;
-}
-
-void
 WordStorage::clearStuck()
 {
     stuck_word_ = 0;
     stuck_mask_ = 0;
     stuck_value_ = 0;
     stuck_enabled_ = false;
-    hash_overlay_canonical_ = false;
 }
 
 void
@@ -104,23 +95,7 @@ WordStorage::hashInto(StateHash& h) const
     // is mixed alongside so the sum formulation keeps the same framing
     // guarantees mixWords provided.
     h.mix(words_.size());
-    std::uint64_t sum = pages_.digestSum(words_);
-    if (hash_overlay_canonical_ && stuck_mask_ != 0) {
-        // Swap the stuck page's raw digest for the digest of the same
-        // page with the overlay applied to the stuck word (<= 1 KB of
-        // stack, touched only when a canonical overlay is armed).
-        const std::size_t p = stuck_word_ / kStatePageWords;
-        const std::size_t base = p * kStatePageWords;
-        const std::uint32_t n = pages_.pageWords(p);
-        Word buf[kStatePageWords];
-        std::memcpy(buf, words_.data() + base, n * sizeof(Word));
-        buf[stuck_word_ - base] =
-            (buf[stuck_word_ - base] & ~stuck_mask_) | stuck_value_;
-        sum -= pages_.cachedPageDigest(p);
-        sum += StateHash::wordsDigest(buf, n,
-                                      static_cast<std::uint64_t>(p));
-    }
-    h.mix(sum);
+    h.mix(pages_.digestSum(words_));
     h.mix(free_list_.size());
     for (const Range& r : free_list_) {
         h.mix(r.base);

@@ -62,17 +62,6 @@ class WordStorage
     /** Toggle the bound overlay (persistent faults tick this per cycle). */
     void setStuckEnabled(bool enabled);
 
-    /**
-     * Hash the *observable* value of the stuck word instead of its raw
-     * value: hashInto() substitutes the stuck page's cached digest with
-     * the digest of the same page with the overlay applied to the stuck
-     * word.  Sound only for always-active overlays (stuck-at faults),
-     * where the overlaid value is the one every future read returns —
-     * an intermittent fault re-exposes the raw word in inactive phases,
-     * so its hash must stay raw.  Cleared by clearStuck()/revertTo().
-     */
-    void setHashOverlayCanonical(bool on);
-
     /** Drop the overlay entirely. */
     void clearStuck();
 
@@ -96,14 +85,12 @@ class WordStorage
      * steers future allocations, hence future behaviour).  The word
      * contents enter as a sum of cached per-page digests, so the cost is
      * proportional to the pages written since the previous hash, not to
-     * the storage size.  The stuck-bit overlay is by default NOT hashed
-     * (the raw word is the architecturally retained state, which is what
-     * an intermittent fault re-exposes when inactive); with
-     * setHashOverlayCanonical() armed — always-active stuck-at faults —
-     * the stuck word contributes its overlaid (observable) value
-     * instead, which is what lets a stuck-at run compare against the
-     * golden trajectory's raw hashes (see the persistent fast path in
-     * reliability/fault_injector.hh).
+     * the storage size.  The stuck-bit overlay is NOT hashed: the raw
+     * word is the retained state (what an intermittent fault re-exposes
+     * when inactive).  A persistent run compares this raw hash against
+     * golden only past its residency agree cycle, where every later
+     * golden read of the stuck bits already observes the forced value
+     * (see the persistent fast path in reliability/fault_injector.hh).
      */
     void hashInto(StateHash& h) const;
 
@@ -177,7 +164,6 @@ class WordStorage
     Word stuck_mask_ = 0;
     Word stuck_value_ = 0;
     bool stuck_enabled_ = false;
-    bool hash_overlay_canonical_ = false;
 };
 
 } // namespace gpr

@@ -42,7 +42,7 @@ TEST(BenchCli, ParsesAllFlags)
 {
     BenchCli cli;
     ASSERT_TRUE(parseArgs(cli, {"--injections=2000", "--confidence=0.95",
-                                "--seed=42", "--threads=3",
+                                "--seed=42", "--jobs=3",
                                 "--workloads=scan,kmeans",
                                 "--gpus=gtx480,7970", "--ace-only",
                                 "--csv"}));

@@ -366,10 +366,42 @@ TEST(FaultModel, ResidencyPrefilterVerdictsMatchFullSimulation)
     EXPECT_GT(residency_hits, 0u);
 }
 
+TEST(FaultModel, StuckAtHashEarlyOutFiresAndMatchesLegacy)
+{
+    // A stuck-at run compares its raw trajectory hash against golden
+    // once past its residency agree cycle.  Pinned cell: vectoradd on
+    // the GTX 480, register file, stuck-at-1, at the injection bench's
+    // campaign seed and the default pack budget.  Some of the first 200
+    // injections must take the early-out, and each such verdict must
+    // match the from-scratch engine's.
+    const GpuConfig& cfg = gpuConfig(GpuModel::GeforceGtx480);
+    const WorkloadInstance inst = buildFor(cfg, "vectoradd");
+    FaultInjector legacy(cfg, inst);
+    FaultInjector ckpt(cfg, inst);
+    ckpt.adoptGoldenCycles(legacy.goldenCycles());
+    ckpt.buildCheckpointPack(kDefaultCheckpoints);
+
+    const std::uint64_t seed =
+        deriveSeed(0xC0FFEE, static_cast<std::uint64_t>(kRf));
+    const FaultShape shape{FaultBehavior::StuckAt1, FaultPattern::SingleBit};
+    std::size_t converged = 0;
+    for (std::size_t i = 0; i < 200; ++i) {
+        const InjectionResult b =
+            runIndexedInjection(ckpt, kRf, seed, i, shape);
+        if (b.shortcut != InjectionShortcut::HashConvergence)
+            continue;
+        ++converged;
+        const InjectionResult a = legacy.inject(b.fault);
+        EXPECT_EQ(a.outcome, b.outcome) << "injection " << i;
+        EXPECT_EQ(a.trap, b.trap) << "injection " << i;
+    }
+    EXPECT_GT(converged, 0u);
+}
+
 TEST(FaultModel, PersistentCampaignsBitIdenticalAcrossEngines)
 {
-    // Campaign-level differential: the fast-path engine (prefilter,
-    // masked early-out, shared-restore batching) must reproduce the
+    // Campaign-level differential: the fast-path engine (residency
+    // prefilter, residency-gated hash early-out) must reproduce the
     // from-scratch engine's counts exactly, per persistent behavior.
     const GpuConfig cfg = test::smallCudaConfig();
     const WorkloadInstance inst = buildFor(cfg, "reduction");

@@ -245,6 +245,10 @@ TEST(Orchestrator, ResumeSkipsFinishedShardsAndMatchesBitForBit)
         std::ofstream out(path, std::ios::trunc);
         for (std::size_t i = 0; i < 6; ++i)
             out << lines[i] << '\n';
+        // ...a header-shaped line nested far past the JSON parser's
+        // depth bound, whose hash would be refused if it parsed...
+        out << R"({"gpr_store":1,"spec_hash":"x","spec":)"
+            << std::string(200000, '[') << '\n';
         // ...plus a truncated tail line, as a real kill would leave.
         out << lines[6].substr(0, lines[6].size() / 2);
     }
@@ -602,6 +606,42 @@ TEST(ShardStore, ReaderSkipsBrokenLines)
     const std::vector<ShardRecord> records = readShardStore(is);
     ASSERT_EQ(records.size(), 1u);
     EXPECT_EQ(records.front().key.workload, "scan");
+}
+
+TEST(ShardStore, ReaderReturnsHeadersFromAnyLine)
+{
+    ShardRecord r;
+    r.key.workload = "scan";
+    r.key.gpu = GpuModel::QuadroFx5800;
+    r.key.injectionEnd = 5;
+    r.counts.sdc = 5;
+    std::ostringstream record;
+    writeShardRecord(record, r);
+    StoreHeader first;
+    first.specHash = "00000000000000aa";
+    first.specJson = R"({"grid":{"workloads":["scan"]}})";
+    std::ostringstream first_line;
+    writeStoreHeader(first_line, first);
+    StoreHeader backfilled;
+    backfilled.specHash = "00000000000000bb";
+    std::ostringstream backfilled_line;
+    writeStoreHeader(backfilled_line, backfilled);
+
+    // Header at line 1, a record, a back-filled header mid-file,
+    // another record, then a torn copy of the record (a killed append).
+    const std::string rec = record.str();
+    std::istringstream is(first_line.str() + "\n" + rec + "\n" +
+                          backfilled_line.str() + "\n" + rec + "\n" +
+                          rec.substr(0, rec.size() - 3));
+    std::vector<StoreHeader> headers;
+    const std::vector<ShardRecord> records = readShardStore(is, &headers);
+    ASSERT_EQ(records.size(), 2u);
+    EXPECT_TRUE(records[0].key == r.key);
+    EXPECT_TRUE(records[1].key == r.key);
+    EXPECT_EQ(records[1].counts.sdc, 5u);
+    ASSERT_EQ(headers.size(), 2u);
+    EXPECT_EQ(headers[0].specHash, first.specHash);
+    EXPECT_EQ(headers[1].specHash, backfilled.specHash);
 }
 
 TEST(WorkerPoolTest, RunsEveryTaskAcrossWaves)

@@ -142,6 +142,18 @@ TEST(StudySpec, ValidationErrorsArePrecise)
                   std::string::npos);
     }
     EXPECT_THROW(StudySpec::fromJson(R"({"gird":{}})"), FatalError);
+
+    // A deeply nested spec is refused with the byte offset, where an
+    // unbounded recursive parser would exhaust the stack.
+    try {
+        StudySpec::fromJson(std::string(200000, '['));
+        FAIL() << "expected FatalError";
+    } catch (const FatalError& e) {
+        EXPECT_NE(std::string(e.what()).find(
+                      "at byte 64: nesting deeper than 64 levels"),
+                  std::string::npos)
+            << e.what();
+    }
 }
 
 TEST(StudySpec, HashIgnoresOrderingDuplicatesAndSpelledOutDefaults)
@@ -283,6 +295,11 @@ TEST(JsonParser, ParsesTheShapesTheRepositoryEmits)
     EXPECT_THROW(parseJson("{} trailing"), FatalError);
     EXPECT_THROW(parseJson(R"({"a":1,"a":2})"), FatalError);
     EXPECT_THROW(parseJson(R"({"a":1.5})").find("a")->asU64(),
+                 FatalError);
+
+    // Nesting is bounded at 64 levels.
+    EXPECT_NO_THROW(parseJson(std::string(64, '[') + std::string(64, ']')));
+    EXPECT_THROW(parseJson(std::string(65, '[') + std::string(65, ']')),
                  FatalError);
 }
 
