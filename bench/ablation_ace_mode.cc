@@ -55,12 +55,8 @@ run(int argc, char** argv)
 
         auto row = [&](TargetStructure s, const char* label) {
             double fi = 0.0;
-            if (!cli.spec.aceOnly) {
-                CampaignConfig cc;
-                cc.plan = cli.spec.plan;
-                cc.seed = cli.spec.seed;
-                fi = runCampaign(cfg, inst, s, cc).avf();
-            }
+            if (!cli.spec.aceOnly)
+                fi = runCampaign(cfg, inst, s, cli.campaign()).avf();
             table.addRow(
                 {name, label, strprintf("%.1f%%", 100.0 * fi),
                  strprintf("%.1f%%", 100.0 * standard.forStructure(s).avf()),

@@ -59,12 +59,10 @@ run(int argc, char** argv)
                 ace.forStructure(TargetStructure::VectorRegisterFile);
             double avf_fi = 0.0;
             if (!cli.spec.aceOnly) {
-                CampaignConfig cc;
-                cc.plan = cli.spec.plan;
-                cc.seed = cli.spec.seed;
-                const CampaignResult fi = runCampaign(
-                    *cfg, inst, TargetStructure::VectorRegisterFile, cc);
-                avf_fi = fi.avf();
+                avf_fi = runCampaign(*cfg, inst,
+                                     TargetStructure::VectorRegisterFile,
+                                     cli.campaign())
+                             .avf();
             }
 
             table.addRow(

@@ -42,12 +42,10 @@ run(int argc, char** argv)
     for (const std::string& name : names) {
         const auto workload = makeWorkload(name);
         const WorkloadInstance inst = workload->build(cfg.dialect, {});
-        CampaignConfig cc;
-        cc.plan = cli.spec.plan;
+        CampaignConfig cc = cli.campaign();
         // Breakdown needs more samples per bucket than a plain AVF.
         cc.plan.injections = std::max<std::size_t>(cc.plan.injections * 4,
                                                    600);
-        cc.seed = cli.spec.seed;
         const VulnerabilityBreakdown bd = runBreakdownCampaign(
             cfg, inst, TargetStructure::VectorRegisterFile, cc);
 

@@ -94,15 +94,13 @@ BM_OrchestratedStudy(benchmark::State& state)
     // A mini grid through the sharded orchestrator: quantifies the
     // scaling of the full-study path (golden-run cache + one global
     // worker pool) as the job count grows.
-    const StudySpec spec =
-        StudySpecBuilder()
-            .workloads({"vectoradd", "reduction"})
-            .gpus({GpuModel::QuadroFx5600, GpuModel::GeforceGtx480})
-            .injections(60)
-            .jobs(static_cast<unsigned>(state.range(0)))
-            .shardsPerCampaign(4)
-            .verbose(false)
-            .build();
+    StudySpec spec;
+    spec.workloads = {"vectoradd", "reduction"};
+    spec.gpus = {GpuModel::QuadroFx5600, GpuModel::GeforceGtx480};
+    spec.plan.injections = 60;
+    spec.jobs = static_cast<unsigned>(state.range(0));
+    spec.shardsPerCampaign = 4;
+    spec.verbose = false;
 
     std::size_t shards = 0;
     for (auto _ : state) {

@@ -32,11 +32,10 @@ run(int argc, char** argv)
 
     // One spec describes the whole cross-GPU slice; the orchestrator
     // fans its campaigns out on one worker pool.
-    const StudySpec spec = StudySpecBuilder()
-                               .workload(workload)
-                               .injections(injections)
-                               .verbose(false)
-                               .build();
+    StudySpec spec;
+    spec.workloads = {workload};
+    spec.plan.injections = injections;
+    spec.verbose = false;
     const StudyResult study = runStudy(spec);
 
     for (const ReliabilityReport& r : study.reports) {

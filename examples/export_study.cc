@@ -30,10 +30,9 @@ run(int argc, char** argv)
 
     // A .json argument is a full spec artifact; anything else is
     // workload-list sugar for the common case.
-    StudySpec spec = StudySpecBuilder()
-                         .workloads({"vectoradd", "reduction"})
-                         .injections(100)
-                         .build();
+    StudySpec spec;
+    spec.workloads = {"vectoradd", "reduction"};
+    spec.plan.injections = 100;
     if (argc > 1) {
         const std::string arg = argv[1];
         if (arg.size() > 5 && arg.substr(arg.size() - 5) == ".json")

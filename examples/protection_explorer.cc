@@ -32,13 +32,12 @@ run(int argc, char** argv)
     const std::string workload = argc > 1 ? argv[1] : "matrixMul";
     const GpuModel gpu =
         argc > 2 ? gpuModelFromName(argv[2]) : GpuModel::GeforceGtx480;
-    const std::size_t injections =
+    StudySpec spec;
+    spec.plan.injections =
         argc > 3 ? parseInjectionCount("protection_explorer", argv[3])
                  : 300;
 
     ReliabilityFramework framework(gpu);
-    const StudySpec spec =
-        StudySpecBuilder().injections(injections).build();
     const ReliabilityReport base = framework.analyze(workload, spec);
 
     std::cout << "baseline:\n";

@@ -26,14 +26,12 @@ run(int argc, char** argv)
     const GpuModel gpu =
         argc > 2 ? gpuModelFromName(argv[2]) : GpuModel::GeforceGtx480;
 
-    const std::size_t injections =
-        argc > 3 ? parseInjectionCount("quickstart", argv[3]) : 400;
-
     // One declarative spec describes the whole experiment; the same
     // value serialises to JSON for `gpr study --spec` (see
     // examples/specs/smoke.json).
-    const StudySpec spec =
-        StudySpecBuilder().injections(injections).build();
+    StudySpec spec;
+    spec.plan.injections =
+        argc > 3 ? parseInjectionCount("quickstart", argv[3]) : 400;
 
     std::printf("analyzing '%s' with %zu injections per structure "
                 "(+/-%.1f%% at %.0f%% confidence)...\n",

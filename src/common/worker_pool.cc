@@ -5,11 +5,6 @@
 #include "common/logging.hh"
 
 namespace gpr {
-namespace {
-
-thread_local bool tls_on_worker_thread = false;
-
-} // namespace
 
 WorkerPool::WorkerPool(unsigned jobs)
 {
@@ -49,16 +44,9 @@ WorkerPool::waitIdle()
     idle_.wait(lock, [this] { return queue_.empty() && active_ == 0; });
 }
 
-bool
-WorkerPool::onWorkerThread()
-{
-    return tls_on_worker_thread;
-}
-
 void
 WorkerPool::workerLoop()
 {
-    tls_on_worker_thread = true;
     while (true) {
         std::function<void()> task;
         {
@@ -78,16 +66,6 @@ WorkerPool::workerLoop()
                 idle_.notify_all();
         }
     }
-}
-
-WorkerPool&
-sharedWorkerPool()
-{
-    // Magic-static init is thread-safe; all post-init state is behind
-    // the pool's own lock.
-    // gpr:guarded_by(WorkerPool::mutex_)
-    static WorkerPool pool;
-    return pool;
 }
 
 } // namespace gpr

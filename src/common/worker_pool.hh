@@ -1,14 +1,8 @@
 /**
  * @file
- * A persistent pool of worker threads draining one task queue — shared
- * by the study orchestrator and by standalone campaigns.
- *
- * The process-wide sharedWorkerPool() exists so every direct
- * runCampaign() call (examples, benches, tests) reuses one set of
- * threads instead of spawning a fresh pool per campaign: before, a
- * sweep like examples/ace_vs_fi.cc created and joined
- * hardware_concurrency threads once per sample size, and concurrent
- * campaigns oversubscribed the machine.
+ * A persistent pool of worker threads draining one task queue — used by
+ * the study orchestrator for a whole study and by a standalone campaign
+ * for each range of injections it runs.
  */
 
 #ifndef GPR_COMMON_WORKER_POOL_HH
@@ -46,15 +40,6 @@ class WorkerPool
 
     unsigned size() const { return static_cast<unsigned>(threads_.size()); }
 
-    /**
-     * True when the calling thread is a worker of *any* WorkerPool.
-     * Code that would block waiting on pool tasks (runCampaign) checks
-     * this and runs inline instead — a worker waiting on its own pool's
-     * queue is a deadlock, and fanning out from inside another pool is
-     * exactly the oversubscription the shared pool exists to prevent.
-     */
-    static bool onWorkerThread();
-
   private:
     void workerLoop();
 
@@ -66,13 +51,6 @@ class WorkerPool
     bool stop_ = false;
     std::vector<std::thread> threads_;
 };
-
-/**
- * The process-wide pool (hardware_concurrency threads, created on first
- * use).  Campaigns cap their parallelism by submitting fewer worker
- * tasks, not by resizing the pool.
- */
-WorkerPool& sharedWorkerPool();
 
 } // namespace gpr
 

@@ -1,6 +1,8 @@
 #include "core/bench_cli.hh"
 
+#include <algorithm>
 #include <cstdio>
+#include <limits>
 #include <ostream>
 
 #include "common/logging.hh"
@@ -36,6 +38,27 @@ usage()
         "        kept for differential testing)\n");
 }
 
+/**
+ * The value of @p arg, an integer flag `<flag>=N`, as a T.  Throws
+ * FatalError naming the flag and the value unless N is a non-negative
+ * integer that T holds (runToolMain reports it as `error: …`, exit 2).
+ */
+template <typename T>
+T
+intFlag(const std::string& arg, std::string_view flag)
+{
+    const std::string text = arg.substr(flag.size() + 1);
+    const std::uint64_t max = std::min<std::uint64_t>(
+        std::numeric_limits<T>::max(),
+        std::numeric_limits<std::int64_t>::max());
+    const auto n = parseInt(text);
+    if (!n || *n < 0 || static_cast<std::uint64_t>(*n) > max) {
+        fatal(flag, " must be an integer in [0, ", max, "], got '", text,
+              "'");
+    }
+    return static_cast<T>(*n);
+}
+
 } // namespace
 
 bool
@@ -57,61 +80,30 @@ BenchCli::parse(int argc, char** argv)
         } else if (arg == "--dry-run") {
             dryRun = true;
         } else if (startsWith(arg, "--injections=")) {
-            const auto n = parseInt(value("--injections="));
-            if (!n || *n < 0) {
-                usage();
-                return false;
-            }
-            spec.plan.injections = static_cast<std::size_t>(*n);
+            spec.plan.injections = intFlag<std::size_t>(arg, "--injections");
         } else if (startsWith(arg, "--confidence=")) {
-            const auto c = parseDouble(value("--confidence="));
-            if (!c || *c <= 0 || *c >= 1) {
-                usage();
-                return false;
-            }
+            const std::string text = value("--confidence=");
+            const auto c = parseDouble(text);
+            if (!c || *c <= 0 || *c >= 1)
+                fatal("--confidence must lie in (0, 1), got '", text, "'");
             spec.plan.confidence = *c;
         } else if (startsWith(arg, "--margin=")) {
-            const auto m = parseDouble(value("--margin="));
-            if (!m || *m < 0 || *m >= 1) {
-                usage();
-                return false;
-            }
+            const std::string text = value("--margin=");
+            const auto m = parseDouble(text);
+            if (!m || *m < 0 || *m >= 1)
+                fatal("--margin must lie in [0, 1), got '", text, "'");
             spec.plan.margin = *m;
         } else if (startsWith(arg, "--max-injections=")) {
-            const auto n = parseInt(value("--max-injections="));
-            if (!n || *n < 0) {
-                usage();
-                return false;
-            }
-            spec.plan.maxInjections = static_cast<std::size_t>(*n);
+            spec.plan.maxInjections =
+                intFlag<std::size_t>(arg, "--max-injections");
         } else if (startsWith(arg, "--seed=")) {
-            const auto s = parseInt(value("--seed="));
-            if (!s) {
-                usage();
-                return false;
-            }
-            spec.seed = static_cast<std::uint64_t>(*s);
+            spec.seed = intFlag<std::uint64_t>(arg, "--seed");
         } else if (startsWith(arg, "--jobs=")) {
-            const auto t = parseInt(value("--jobs="));
-            if (!t || *t < 0) {
-                usage();
-                return false;
-            }
-            spec.jobs = static_cast<unsigned>(*t);
+            spec.jobs = intFlag<unsigned>(arg, "--jobs");
         } else if (startsWith(arg, "--shards=")) {
-            const auto s = parseInt(value("--shards="));
-            if (!s || *s < 0) {
-                usage();
-                return false;
-            }
-            spec.shardsPerCampaign = static_cast<std::size_t>(*s);
+            spec.shardsPerCampaign = intFlag<std::size_t>(arg, "--shards");
         } else if (startsWith(arg, "--checkpoints=")) {
-            const auto c = parseInt(value("--checkpoints="));
-            if (!c || *c < 0) {
-                usage();
-                return false;
-            }
-            spec.checkpoints = static_cast<unsigned>(*c);
+            spec.checkpoints = intFlag<unsigned>(arg, "--checkpoints");
         } else if (startsWith(arg, "--store=")) {
             spec.storePath = value("--store=");
         } else if (startsWith(arg, "--resume=")) {
@@ -155,6 +147,18 @@ BenchCli::parse(int argc, char** argv)
     // on the intermediate state.  Name typos still fail right here —
     // the list parsers validate against the registries.
     return true;
+}
+
+CampaignConfig
+BenchCli::campaign() const
+{
+    CampaignConfig cc;
+    cc.plan = spec.plan;
+    cc.seed = spec.seed;
+    cc.numThreads = spec.jobs;
+    cc.checkpoints = spec.checkpoints;
+    cc.shape = spec.faultShape();
+    return cc;
 }
 
 bool

@@ -46,6 +46,10 @@
  *   --ace-only        skip fault injection (ACE + occupancy + perf only)
  *   --csv             additionally print tables as CSV
  *   --json            print the study as JSON instead of tables
+ *
+ * N and S are non-negative integers that must fit their spec field;
+ * a malformed or out-of-range number throws FatalError naming the flag
+ * and the value, as does a --confidence or --margin outside its range.
  */
 
 #ifndef GPR_CORE_BENCH_CLI_HH
@@ -54,6 +58,7 @@
 #include <string>
 
 #include "core/orchestrator.hh"
+#include "reliability/campaign.hh"
 
 namespace gpr {
 
@@ -68,8 +73,19 @@ struct BenchCli
     /** --dump-spec: emit the spec JSON, execute nothing. */
     bool dumpSpec = false;
 
-    /** Parse argv; returns false (after printing usage) on bad flags. */
+    /**
+     * Parse argv.  Returns false after printing the usage text on an
+     * unknown flag or --help; throws FatalError naming the flag and the
+     * value on a malformed or out-of-range one.
+     */
     bool parse(int argc, char** argv);
+
+    /**
+     * The spec's campaign fields (plan, seed, jobs, checkpoints, fault
+     * shape) as one standalone campaign, for harnesses that run their
+     * own campaigns with runCampaign() instead of runStudy().
+     */
+    CampaignConfig campaign() const;
 
     /**
      * Handle --dump-spec / --dry-run: when either was requested, write

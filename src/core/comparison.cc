@@ -26,6 +26,52 @@ ciCell(const StructureReport& sr)
                      100.0 * sr.avfCi.hi);
 }
 
+/**
+ * The AVF-FI / AVF-ACE / occupancy table of Figs. 1 and 2 for
+ * @p structure, with a per-GPU average row.  Benchmarks the structure
+ * does not apply to (no local memory, for Fig. 2) are left out, and so
+ * is the average of a GPU with no rows.
+ */
+TextTable
+avfFigure(const StudyResult& study, TargetStructure structure)
+{
+    TextTable table({"benchmark", "GPU", "AVF-FI", "FI CI", "AVF-ACE",
+                     "occupancy"});
+    const std::size_t num_gpus = study.gpus.size();
+    std::vector<RunningStat> fi_avg(num_gpus), ace_avg(num_gpus),
+        occ_avg(num_gpus);
+
+    for (std::size_t w = 0; w < study.workloads.size(); ++w) {
+        if (!study.at(w, 0).forStructure(structure).applicable)
+            continue;
+        for (std::size_t g = 0; g < num_gpus; ++g) {
+            const ReliabilityReport& r = study.at(w, g);
+            const StructureReport& sr = r.forStructure(structure);
+            // A structure no injections ran on (--ace-only, or excluded
+            // by --structures) is not-measured, not ultra-reliable.
+            table.addRow({study.workloads[w], r.gpuName,
+                          sr.injections ? pct(sr.avfFi)
+                                        : std::string("n/a"),
+                          ciCell(sr), pct(sr.avfAce),
+                          pct(sr.occupancy)});
+            if (sr.injections)
+                fi_avg[g].push(sr.avfFi);
+            ace_avg[g].push(sr.avfAce);
+            occ_avg[g].push(sr.occupancy);
+        }
+    }
+    for (std::size_t g = 0; g < num_gpus; ++g) {
+        if (ace_avg[g].count() == 0)
+            continue;
+        table.addRow({"average", std::string(gpuModelName(study.gpus[g])),
+                      fi_avg[g].count() ? pct(fi_avg[g].mean())
+                                        : std::string("n/a"),
+                      "", pct(ace_avg[g].mean()),
+                      pct(occ_avg[g].mean())});
+    }
+    return table;
+}
+
 } // namespace
 
 const ReliabilityReport&
@@ -39,78 +85,13 @@ StudyResult::at(std::size_t w, std::size_t g) const
 TextTable
 StudyResult::figure1() const
 {
-    TextTable table({"benchmark", "GPU", "AVF-FI", "FI CI", "AVF-ACE",
-                     "occupancy"});
-    std::vector<RunningStat> fi_avg(gpus.size()), ace_avg(gpus.size()),
-        occ_avg(gpus.size());
-
-    for (std::size_t w = 0; w < workloads.size(); ++w) {
-        for (std::size_t g = 0; g < gpus.size(); ++g) {
-            const ReliabilityReport& r = at(w, g);
-            const StructureReport& sr =
-                r.forStructure(TargetStructure::VectorRegisterFile);
-            // A structure no injections ran on (--ace-only, or excluded
-            // by --structures) is not-measured, not ultra-reliable.
-            table.addRow({workloads[w], r.gpuName,
-                          sr.injections ? pct(sr.avfFi)
-                                        : std::string("n/a"),
-                          ciCell(sr), pct(sr.avfAce),
-                          pct(sr.occupancy)});
-            if (sr.injections)
-                fi_avg[g].push(sr.avfFi);
-            ace_avg[g].push(sr.avfAce);
-            occ_avg[g].push(sr.occupancy);
-        }
-    }
-    for (std::size_t g = 0; g < gpus.size(); ++g) {
-        table.addRow({"average", std::string(gpuModelName(gpus[g])),
-                      fi_avg[g].count() ? pct(fi_avg[g].mean())
-                                        : std::string("n/a"),
-                      "", pct(ace_avg[g].mean()),
-                      pct(occ_avg[g].mean())});
-    }
-    return table;
+    return avfFigure(*this, TargetStructure::VectorRegisterFile);
 }
 
 TextTable
 StudyResult::figure2() const
 {
-    TextTable table({"benchmark", "GPU", "AVF-FI", "FI CI", "AVF-ACE",
-                     "occupancy"});
-    std::vector<RunningStat> fi_avg(gpus.size()), ace_avg(gpus.size()),
-        occ_avg(gpus.size());
-
-    for (std::size_t w = 0; w < workloads.size(); ++w) {
-        // Fig. 2 includes only benchmarks that use local memory.
-        if (!at(w, 0)
-                 .forStructure(TargetStructure::SharedMemory)
-                 .applicable)
-            continue;
-        for (std::size_t g = 0; g < gpus.size(); ++g) {
-            const ReliabilityReport& r = at(w, g);
-            const StructureReport& sr =
-                r.forStructure(TargetStructure::SharedMemory);
-            table.addRow({workloads[w], r.gpuName,
-                          sr.injections ? pct(sr.avfFi)
-                                        : std::string("n/a"),
-                          ciCell(sr), pct(sr.avfAce),
-                          pct(sr.occupancy)});
-            if (sr.injections)
-                fi_avg[g].push(sr.avfFi);
-            ace_avg[g].push(sr.avfAce);
-            occ_avg[g].push(sr.occupancy);
-        }
-    }
-    for (std::size_t g = 0; g < gpus.size(); ++g) {
-        if (ace_avg[g].count() == 0)
-            continue;
-        table.addRow({"average", std::string(gpuModelName(gpus[g])),
-                      fi_avg[g].count() ? pct(fi_avg[g].mean())
-                                        : std::string("n/a"),
-                      "", pct(ace_avg[g].mean()),
-                      pct(occ_avg[g].mean())});
-    }
-    return table;
+    return avfFigure(*this, TargetStructure::SharedMemory);
 }
 
 TextTable

@@ -9,8 +9,9 @@
  * Typical use (see examples/quickstart.cc):
  *
  *     ReliabilityFramework fw(GpuModel::GeforceGtx480);
- *     ReliabilityReport rep = fw.analyze(
- *         "vectoradd", StudySpecBuilder().injections(400).build());
+ *     StudySpec spec;
+ *     spec.plan.injections = 400;
+ *     ReliabilityReport rep = fw.analyze("vectoradd", spec);
  *     rep.printSummary(std::cout);
  */
 

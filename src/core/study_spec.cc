@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "common/hash.hh"
@@ -43,6 +44,19 @@ mixString(StateHash& h, std::string_view s)
     h.mix(s.size());
     for (char c : s)
         h.mix(static_cast<unsigned char>(c));
+}
+
+/** @p v, the value of spec field @p field, as an unsigned; fatal when
+ *  it does not fit, where a narrowing cast would wrap it silently. */
+unsigned
+asUnsigned(const JsonValue& v, std::string_view field)
+{
+    const std::uint64_t n = v.asU64();
+    if (n > std::numeric_limits<unsigned>::max()) {
+        fatal("spec field '", field, "' is ", n, ", above the largest ",
+              "allowed value ", std::numeric_limits<unsigned>::max());
+    }
+    return static_cast<unsigned>(n);
 }
 
 /** Fatal unless every member key of @p obj appears in @p known. */
@@ -354,12 +368,12 @@ StudySpec::fromJson(std::string_view json)
                           {"jobs", "shards_per_campaign", "checkpoints",
                            "store", "resume", "verbose"});
         if (const JsonValue* v = execution->find("jobs"))
-            spec.jobs = static_cast<unsigned>(v->asU64());
+            spec.jobs = asUnsigned(*v, "execution.jobs");
         if (const JsonValue* v = execution->find("shards_per_campaign"))
             spec.shardsPerCampaign =
                 static_cast<std::size_t>(v->asU64());
         if (const JsonValue* v = execution->find("checkpoints"))
-            spec.checkpoints = static_cast<unsigned>(v->asU64());
+            spec.checkpoints = asUnsigned(*v, "execution.checkpoints");
         if (const JsonValue* v = execution->find("store"))
             spec.storePath = v->asString();
         if (const JsonValue* v = execution->find("resume"))
@@ -405,177 +419,7 @@ StudySpec::operator==(const StudySpec& o) const
            resume == o.resume && verbose == o.verbose;
 }
 
-// ---------------------------------------------------------------- builder
-
-StudySpecBuilder&
-StudySpecBuilder::workloads(std::vector<std::string> names)
-{
-    spec_.workloads = std::move(names);
-    return *this;
-}
-
-StudySpecBuilder&
-StudySpecBuilder::workload(std::string name)
-{
-    spec_.workloads.push_back(std::move(name));
-    return *this;
-}
-
-StudySpecBuilder&
-StudySpecBuilder::gpus(std::vector<GpuModel> models)
-{
-    spec_.gpus = std::move(models);
-    return *this;
-}
-
-StudySpecBuilder&
-StudySpecBuilder::gpu(GpuModel model)
-{
-    spec_.gpus.push_back(model);
-    return *this;
-}
-
-StudySpecBuilder&
-StudySpecBuilder::structures(std::vector<TargetStructure> ids)
-{
-    spec_.structures = std::move(ids);
-    return *this;
-}
-
-StudySpecBuilder&
-StudySpecBuilder::structure(TargetStructure id)
-{
-    spec_.structures.push_back(id);
-    return *this;
-}
-
-StudySpecBuilder&
-StudySpecBuilder::plan(const SamplePlan& p)
-{
-    spec_.plan = p;
-    return *this;
-}
-
-StudySpecBuilder&
-StudySpecBuilder::injections(std::size_t n)
-{
-    spec_.plan.injections = n;
-    return *this;
-}
-
-StudySpecBuilder&
-StudySpecBuilder::confidence(double c)
-{
-    spec_.plan.confidence = c;
-    return *this;
-}
-
-StudySpecBuilder&
-StudySpecBuilder::margin(double m)
-{
-    spec_.plan.margin = m;
-    return *this;
-}
-
-StudySpecBuilder&
-StudySpecBuilder::maxInjections(std::size_t n)
-{
-    spec_.plan.maxInjections = n;
-    return *this;
-}
-
-StudySpecBuilder&
-StudySpecBuilder::seed(std::uint64_t s)
-{
-    spec_.seed = s;
-    return *this;
-}
-
-StudySpecBuilder&
-StudySpecBuilder::workloadSeed(std::uint64_t s)
-{
-    spec_.workloadSeed = s;
-    return *this;
-}
-
-StudySpecBuilder&
-StudySpecBuilder::faultBehavior(FaultBehavior b)
-{
-    spec_.faultBehavior = b;
-    return *this;
-}
-
-StudySpecBuilder&
-StudySpecBuilder::faultPattern(FaultPattern p)
-{
-    spec_.faultPattern = p;
-    return *this;
-}
-
-StudySpecBuilder&
-StudySpecBuilder::aceOnly(bool on)
-{
-    spec_.aceOnly = on;
-    return *this;
-}
-
-StudySpecBuilder&
-StudySpecBuilder::rawFitPerMbit(double fit)
-{
-    spec_.fitParams.rawFitPerMbit = fit;
-    return *this;
-}
-
-StudySpecBuilder&
-StudySpecBuilder::jobs(unsigned n)
-{
-    spec_.jobs = n;
-    return *this;
-}
-
-StudySpecBuilder&
-StudySpecBuilder::shardsPerCampaign(std::size_t n)
-{
-    spec_.shardsPerCampaign = n;
-    return *this;
-}
-
-StudySpecBuilder&
-StudySpecBuilder::checkpoints(unsigned n)
-{
-    spec_.checkpoints = n;
-    return *this;
-}
-
-StudySpecBuilder&
-StudySpecBuilder::store(std::string path)
-{
-    spec_.storePath = std::move(path);
-    return *this;
-}
-
-StudySpecBuilder&
-StudySpecBuilder::resume(bool on)
-{
-    spec_.resume = on;
-    return *this;
-}
-
-StudySpecBuilder&
-StudySpecBuilder::verbose(bool on)
-{
-    spec_.verbose = on;
-    return *this;
-}
-
-StudySpec
-StudySpecBuilder::build() const
-{
-    spec_.validate();
-    return spec_;
-}
-
-// ---------------------------------------------------------------- presets
+// ----------------------------------------------------------------- preset
 
 StudySpec
 paperStudySpec()
@@ -583,16 +427,6 @@ paperStudySpec()
     // The defaults *are* the paper's experiment: every workload, every
     // GPU, every applicable structure, 2,000 injections at 99 %.
     return StudySpec{};
-}
-
-StudySpec
-smokeStudySpec()
-{
-    return StudySpecBuilder()
-        .workloads({"vectoradd", "reduction"})
-        .gpu(GpuModel::GeforceGtx480)
-        .injections(40)
-        .build();
 }
 
 // ------------------------------------------------- name-list CSV parsing

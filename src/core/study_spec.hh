@@ -13,12 +13,11 @@
  *
  * Typical use:
  *
- *     StudySpec spec = StudySpecBuilder()
- *                          .workloads({"vectoradd", "reduction"})
- *                          .gpu(GpuModel::GeforceGtx480)
- *                          .injections(2000)
- *                          .build();
- *     StudyResult result = runStudy(spec);
+ *     StudySpec spec;
+ *     spec.workloads = {"vectoradd", "reduction"};
+ *     spec.gpus = {GpuModel::GeforceGtx480};
+ *     spec.plan.injections = 2000;
+ *     StudyResult result = runStudy(spec); // validates first
  *
  * or, from an artifact:
  *
@@ -154,59 +153,11 @@ struct StudySpec
     bool operator!=(const StudySpec& o) const { return !(*this == o); }
 };
 
-/**
- * Fluent construction of a StudySpec.  Each setter returns *this;
- * build() validates and returns the value.  Call order never matters —
- * the spec (and therefore its hash) depends only on the final field
- * values.
- */
-class StudySpecBuilder
-{
-  public:
-    StudySpecBuilder& workloads(std::vector<std::string> names);
-    StudySpecBuilder& workload(std::string name); ///< append one
-    StudySpecBuilder& gpus(std::vector<GpuModel> models);
-    StudySpecBuilder& gpu(GpuModel model); ///< append one
-    StudySpecBuilder& structures(std::vector<TargetStructure> ids);
-    StudySpecBuilder& structure(TargetStructure id); ///< append one
-
-    StudySpecBuilder& plan(const SamplePlan& p);
-    StudySpecBuilder& injections(std::size_t n);
-    StudySpecBuilder& confidence(double c);
-    /** > 0 selects adaptive sequential stopping at this CI half-width. */
-    StudySpecBuilder& margin(double m);
-    /** Adaptive cap; 0 derives the fixed-size equivalent. */
-    StudySpecBuilder& maxInjections(std::size_t n);
-    StudySpecBuilder& seed(std::uint64_t s);
-    StudySpecBuilder& workloadSeed(std::uint64_t s);
-    StudySpecBuilder& faultBehavior(FaultBehavior b);
-    StudySpecBuilder& faultPattern(FaultPattern p);
-    StudySpecBuilder& aceOnly(bool on = true);
-    StudySpecBuilder& rawFitPerMbit(double fit);
-
-    StudySpecBuilder& jobs(unsigned n);
-    StudySpecBuilder& shardsPerCampaign(std::size_t n);
-    StudySpecBuilder& checkpoints(unsigned n);
-    StudySpecBuilder& store(std::string path);
-    StudySpecBuilder& resume(bool on = true);
-    StudySpecBuilder& verbose(bool on);
-
-    /** Validate and return the spec (throws FatalError on bad fields). */
-    StudySpec build() const;
-
-  private:
-    StudySpec spec_;
-};
-
-// --- Shared presets -----------------------------------------------------
+// --- Preset -------------------------------------------------------------
 
 /** The paper's experiment: full 10x4 grid, 2,000 injections per
  *  structure at 99 % confidence. */
 StudySpec paperStudySpec();
-
-/** A seconds-scale smoke slice (vectoradd + reduction on the GTX 480,
- *  40 injections) used by CI and quick local checks. */
-StudySpec smokeStudySpec();
 
 // --- Registry-validated name-list parsing (shared by every CLI) ---------
 

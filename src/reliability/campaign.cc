@@ -7,7 +7,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
+#include <exception>
 #include <mutex>
 #include <thread>
 
@@ -116,10 +116,9 @@ runCampaign(const GpuConfig& config, const WorkloadInstance& instance,
             result.masked += local.masked;
             result.sdc += local.sdc;
             result.due += local.due;
-            // Busy time, not pool wall-clock: summing per-worker
-            // injection time stays correct when several campaigns share
-            // worker threads (concurrent campaigns would otherwise each
-            // claim the same wall-clock span).
+            // Busy time, not wall-clock: summing per-worker injection
+            // time stays correct when several campaigns run at once
+            // (each would otherwise claim the same wall-clock span).
             result.wallSeconds +=
                 std::chrono::duration<double>(t1 - t0).count();
             // Per-worker accumulation merged at join: each worker's
@@ -135,34 +134,28 @@ runCampaign(const GpuConfig& config, const WorkloadInstance& instance,
         workers = static_cast<unsigned>(
             std::min<std::size_t>(workers, end - begin));
 
-        if (workers <= 1 || WorkerPool::onWorkerThread()) {
-            // Single-threaded, or already running on some pool's worker:
-            // drain inline.  (Blocking a worker on tasks it queued
-            // behind itself can deadlock, and fanning out from inside a
-            // pool is the oversubscription this path exists to avoid.)
+        if (workers <= 1) {
             worker_fn();
-        } else {
-            // Fan out over the process-wide shared pool instead of
-            // spawning (and joining) a fresh std::thread set per
-            // campaign.  Completion is tracked with a local latch rather
-            // than waitIdle() so concurrent campaigns can share the
-            // pool.
-            WorkerPool& pool = sharedWorkerPool();
-            workers = std::min(workers, pool.size());
-            std::mutex done_mutex;
-            std::condition_variable done_cv;
-            unsigned done = 0;
-            for (unsigned t = 0; t < workers; ++t) {
-                pool.submit([&]() {
-                    worker_fn();
-                    std::lock_guard<std::mutex> lock(done_mutex);
-                    ++done;
-                    done_cv.notify_one();
-                });
-            }
-            std::unique_lock<std::mutex> lock(done_mutex);
-            done_cv.wait(lock, [&] { return done == workers; });
+            return;
         }
+        // An exception must not escape a pool thread: the first one is
+        // forwarded to the caller once every worker has stopped.
+        WorkerPool pool(workers);
+        std::exception_ptr error;
+        for (unsigned t = 0; t < workers; ++t) {
+            pool.submit([&]() {
+                try {
+                    worker_fn();
+                } catch (...) {
+                    std::lock_guard<std::mutex> lock(merge_mutex);
+                    if (!error)
+                        error = std::current_exception();
+                }
+            });
+        }
+        pool.waitIdle();
+        if (error)
+            std::rethrow_exception(error);
     };
 
     if (!adaptive) {

@@ -25,8 +25,8 @@ struct CampaignConfig
     SamplePlan plan = paperSamplePlan();
     std::uint64_t seed = 0xC0FFEE;
     /** Parallel workers; 0 selects std::thread::hardware_concurrency().
-     *  Workers run as tasks on the process-wide shared pool, so
-     *  back-to-back or concurrent campaigns reuse one set of threads. */
+     *  Each run of injections starts its own WorkerPool of that size;
+     *  a single worker runs inline on the calling thread. */
     unsigned numThreads = 0;
     /** Keep every per-injection record (memory-heavy for big campaigns). */
     bool keepRecords = false;
@@ -55,7 +55,7 @@ struct CampaignResult
     /**
      * Aggregate worker-seconds spent on the injection runs (summed busy
      * time across workers — equals wall-clock for a single-threaded
-     * campaign, and never double-counts when campaigns share a pool).
+     * campaign, and never double-counts when campaigns run at once).
      */
     double wallSeconds = 0.0;
 

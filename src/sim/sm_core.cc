@@ -132,18 +132,6 @@ SmCore::persistentFaultTick(bool active)
     }
 }
 
-void
-SmCore::clearPersistentFault()
-{
-    if (!pfault_)
-        return;
-    if (structureSpec(pfault_->structure).persistenceHook ==
-        PersistenceHook::StorageReadOverlay) {
-        storageFor(pfault_->structure).clearStuck();
-    }
-    pfault_.reset();
-}
-
 std::optional<TrapKind>
 SmCore::flushL1d(RunContext& ctx, Cycle now)
 {

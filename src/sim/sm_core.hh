@@ -165,9 +165,6 @@ class SmCore
      */
     void persistentFaultTick(bool active);
 
-    /** Drop the bound fault and its storage overlay (if any). */
-    void clearPersistentFault();
-
     /**
      * Write this SM's dirty L1d lines back (into the L2 when present,
      * else memory) at clean kernel completion, so the image the

@@ -21,14 +21,14 @@ namespace {
 StudySpec
 adaptiveMiniSpec()
 {
-    return StudySpecBuilder()
-        .workloads({"vectoradd", "reduction"})
-        .gpu(GpuModel::QuadroFx5600)
-        .margin(0.1)
-        .confidence(0.9)
-        .maxInjections(200)
-        .verbose(false)
-        .build();
+    StudySpec spec;
+    spec.workloads = {"vectoradd", "reduction"};
+    spec.gpus = {GpuModel::QuadroFx5600};
+    spec.plan.margin = 0.1;
+    spec.plan.confidence = 0.9;
+    spec.plan.maxInjections = 200;
+    spec.verbose = false;
+    return spec;
 }
 
 std::string

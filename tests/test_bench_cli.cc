@@ -71,7 +71,7 @@ TEST(BenchCli, ParsesAdaptiveFlags)
     EXPECT_NO_THROW(cli.spec.validate());
 
     BenchCli bad;
-    EXPECT_FALSE(parseArgs(bad, {"--margin=1.5"}));
+    EXPECT_THROW(parseArgs(bad, {"--margin=1.5"}), FatalError);
     // A cap without a margin parses but fails validation.
     BenchCli capped;
     ASSERT_TRUE(parseArgs(capped, {"--max-injections=300"}));
@@ -95,16 +95,67 @@ TEST(BenchCli, AdaptiveHeaderAndDryRun)
         << os.str();
 }
 
+/** The FatalError message parsing @p arg throws ("" if none). */
+std::string
+parseError(const std::string& arg)
+{
+    BenchCli cli;
+    try {
+        parseArgs(cli, {arg});
+    } catch (const FatalError& e) {
+        return e.what();
+    }
+    return "";
+}
+
 TEST(BenchCli, RejectsBadValues)
 {
-    BenchCli a;
-    EXPECT_FALSE(parseArgs(a, {"--injections=xyz"}));
-    BenchCli b;
-    EXPECT_FALSE(parseArgs(b, {"--confidence=1.5"}));
+    // A malformed or out-of-range value is refused with the flag and
+    // the value named, never wrapped, truncated or replaced.
+    for (const std::string arg :
+         {"--injections=xyz", "--confidence=1.5", "--checkpoints=4294967296",
+          "--jobs=4294967297", "--seed=-1"}) {
+        const std::string what = parseError(arg);
+        EXPECT_NE(what.find(arg.substr(0, arg.find('='))), std::string::npos)
+            << arg << ": " << what;
+        EXPECT_NE(what.find(arg.substr(arg.find('=') + 1)), std::string::npos)
+            << arg << ": " << what;
+    }
+    // Only an unknown flag and --help print the usage text instead.
     BenchCli c;
     EXPECT_FALSE(parseArgs(c, {"--no-such-flag"}));
     BenchCli d;
     EXPECT_FALSE(parseArgs(d, {"--help"}));
+}
+
+TEST(BenchCli, CampaignCarriesEveryCampaignField)
+{
+    BenchCli cli;
+    ASSERT_TRUE(parseArgs(cli, {"--injections=70", "--confidence=0.9",
+                                "--behavior=stuck-at-1",
+                                "--pattern=adjacent-double",
+                                "--checkpoints=0", "--jobs=3",
+                                "--seed=9"}));
+    const CampaignConfig cc = cli.campaign();
+    EXPECT_EQ(cc.plan.injections, 70u);
+    EXPECT_DOUBLE_EQ(cc.plan.confidence, 0.9);
+    EXPECT_EQ(cc.seed, 9u);
+    EXPECT_EQ(cc.numThreads, 3u);
+    EXPECT_EQ(cc.checkpoints, 0u);
+    EXPECT_EQ(cc.shape.behavior, FaultBehavior::StuckAt1);
+    EXPECT_EQ(cc.shape.pattern, FaultPattern::AdjacentDouble);
+    EXPECT_FALSE(cc.keepRecords);
+
+    // Without campaign flags the conversion is a default campaign at
+    // the bench's plan, so default bench output does not move.
+    BenchCli plain;
+    ASSERT_TRUE(parseArgs(plain, {}));
+    const CampaignConfig defaults = plain.campaign();
+    EXPECT_EQ(defaults.plan.injections, 150u);
+    EXPECT_EQ(defaults.seed, CampaignConfig{}.seed);
+    EXPECT_EQ(defaults.numThreads, CampaignConfig{}.numThreads);
+    EXPECT_EQ(defaults.checkpoints, CampaignConfig{}.checkpoints);
+    EXPECT_TRUE(defaults.shape.isDefault());
 }
 
 TEST(BenchCli, UnknownGpuIsFatal)

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/worker_pool.hh"
 #include "reliability/campaign.hh"
 #include "sim_test_util.hh"
 #include "workloads/workloads.hh"
@@ -111,6 +112,53 @@ TEST(Campaign, MarginMatchesPlanFormula)
     EXPECT_LE(w.hi, 1.0);
     EXPECT_LE(w.lo, r.avf() + 1e-12);
     EXPECT_GE(w.hi, r.avf() - 1e-12);
+}
+
+TEST(Campaign, RunsFromInsideAPoolTask)
+{
+    // A campaign started from a pool task fans out on a pool of its
+    // own: it neither deadlocks nor changes a count.
+    const GpuConfig& cfg = gpuConfig(GpuModel::QuadroFx5600);
+    const WorkloadInstance inst =
+        makeWorkload("vectoradd")->build(cfg.dialect, {});
+    CampaignConfig cc;
+    cc.plan.injections = 60;
+    cc.numThreads = 2;
+    const CampaignResult direct =
+        runCampaign(cfg, inst, TargetStructure::VectorRegisterFile, cc);
+
+    CampaignResult nested;
+    {
+        WorkerPool pool(1);
+        pool.submit([&] {
+            nested = runCampaign(cfg, inst,
+                                 TargetStructure::VectorRegisterFile, cc);
+        });
+        pool.waitIdle();
+    }
+    EXPECT_EQ(nested.injections, 60u);
+    EXPECT_EQ(nested.masked, direct.masked);
+    EXPECT_EQ(nested.sdc, direct.sdc);
+    EXPECT_EQ(nested.due, direct.due);
+}
+
+TEST(Campaign, WorkerErrorsReachTheCaller)
+{
+    // An error on a pool worker is rethrown to the caller, never left
+    // to terminate the process from a worker thread.
+    const GpuConfig& cfg = gpuConfig(GpuModel::GeforceGtx480);
+    const WorkloadInstance inst =
+        makeWorkload("vectoradd")->build(cfg.dialect, {});
+    CampaignConfig cc;
+    cc.plan.injections = 8;
+    for (unsigned threads : {1u, 2u}) {
+        cc.numThreads = threads;
+        // NVIDIA GPUs have no scalar register file to inject into.
+        EXPECT_THROW(runCampaign(cfg, inst,
+                                 TargetStructure::ScalarRegisterFile, cc),
+                     PanicError)
+            << threads << " threads";
+    }
 }
 
 TEST(Campaign, OutcomeNames)

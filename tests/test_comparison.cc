@@ -12,12 +12,12 @@ namespace {
 StudySpec
 tinyStudy()
 {
-    return StudySpecBuilder()
-        .workloads({"vectoradd", "reduction"})
-        .gpus({GpuModel::QuadroFx5600, GpuModel::GeforceGtx480})
-        .aceOnly()
-        .verbose(false)
-        .build();
+    StudySpec spec;
+    spec.workloads = {"vectoradd", "reduction"};
+    spec.gpus = {GpuModel::QuadroFx5600, GpuModel::GeforceGtx480};
+    spec.aceOnly = true;
+    spec.verbose = false;
+    return spec;
 }
 
 TEST(ComparisonStudy, ShapeAndIndexing)

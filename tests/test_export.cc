@@ -119,13 +119,12 @@ TEST(Export, ReportJsonHasAllSections)
 
 TEST(Export, StudyJsonAndCsvCoverAllCells)
 {
-    const StudyResult study =
-        runStudy(StudySpecBuilder()
-                     .workload("vectoradd")
-                     .gpus({GpuModel::QuadroFx5600, GpuModel::GeforceGtx480})
-                     .aceOnly()
-                     .verbose(false)
-                     .build());
+    StudySpec spec;
+    spec.workloads = {"vectoradd"};
+    spec.gpus = {GpuModel::QuadroFx5600, GpuModel::GeforceGtx480};
+    spec.aceOnly = true;
+    spec.verbose = false;
+    const StudyResult study = runStudy(spec);
 
     std::ostringstream json;
     writeStudyJson(json, study);

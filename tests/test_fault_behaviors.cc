@@ -503,16 +503,15 @@ TEST(FaultModel, AdaptiveStuckAtStudyMatchesStandaloneCampaign)
     // A stuck-at campaign through the adaptive orchestrator: same
     // stopping point and counts as standalone runCampaign(), and the
     // stopping decision recomputable from the outcome prefix alone.
-    StudySpec spec = StudySpecBuilder()
-                         .workload("vectoradd")
-                         .gpu(GpuModel::QuadroFx5600)
-                         .structure(kPred)
-                         .margin(0.1)
-                         .confidence(0.9)
-                         .maxInjections(200)
-                         .faultBehavior(FaultBehavior::StuckAt0)
-                         .verbose(false)
-                         .build();
+    StudySpec spec;
+    spec.workloads = {"vectoradd"};
+    spec.gpus = {GpuModel::QuadroFx5600};
+    spec.structures = {kPred};
+    spec.plan.margin = 0.1;
+    spec.plan.confidence = 0.9;
+    spec.plan.maxInjections = 200;
+    spec.faultBehavior = FaultBehavior::StuckAt0;
+    spec.verbose = false;
     const StudyResult result = runStudy(spec);
     const StructureReport& sr =
         result.reports.front().forStructure(kPred);
@@ -564,18 +563,17 @@ TEST(FaultModel, AdaptiveStuckAtStudyMatchesStandaloneCampaign)
 TEST(FaultModel, StuckAtStudyKillAndResumeIsBitIdentical)
 {
     const std::string path = tempStorePath("resume");
-    StudySpec first = StudySpecBuilder()
-                          .workload("reduction")
-                          .gpu(GpuModel::QuadroFx5600)
-                          .structures({kRf, kSimt})
-                          .injections(24)
-                          .faultBehavior(FaultBehavior::StuckAt1)
-                          .faultPattern(FaultPattern::AdjacentDouble)
-                          .shardsPerCampaign(4)
-                          .jobs(1)
-                          .store(path)
-                          .verbose(false)
-                          .build();
+    StudySpec first;
+    first.workloads = {"reduction"};
+    first.gpus = {GpuModel::QuadroFx5600};
+    first.structures = {kRf, kSimt};
+    first.plan.injections = 24;
+    first.faultBehavior = FaultBehavior::StuckAt1;
+    first.faultPattern = FaultPattern::AdjacentDouble;
+    first.shardsPerCampaign = 4;
+    first.jobs = 1;
+    first.storePath = path;
+    first.verbose = false;
     StudyProgress full_progress;
     const StudyResult full = runStudy(first, &full_progress);
     ASSERT_EQ(full_progress.executedShards, 8u);
@@ -626,7 +624,8 @@ TEST(FaultModel, StuckAtStudyKillAndResumeIsBitIdentical)
 
 TEST(FaultModel, ShapeIsCampaignIdentityOnlyWhenNonDefault)
 {
-    const StudySpec base = StudySpecBuilder().verbose(false).build();
+    StudySpec base;
+    base.verbose = false;
 
     // Explicit defaults hash identically to an untouched spec — the
     // pre-redesign hash stays valid for every default-shape store.
@@ -672,15 +671,14 @@ TEST(FaultModel, DefaultStoreRecordsCarryNoShapeKeys)
     // Default-shape stores must stay byte-compatible with pre-shape
     // builds: no behavior/pattern keys on any shard record.
     const std::string path = tempStorePath("default");
-    const StudySpec spec = StudySpecBuilder()
-                               .workload("vectoradd")
-                               .gpu(GpuModel::QuadroFx5600)
-                               .structure(kRf)
-                               .injections(12)
-                               .shardsPerCampaign(2)
-                               .store(path)
-                               .verbose(false)
-                               .build();
+    StudySpec spec;
+    spec.workloads = {"vectoradd"};
+    spec.gpus = {GpuModel::QuadroFx5600};
+    spec.structures = {kRf};
+    spec.plan.injections = 12;
+    spec.shardsPerCampaign = 2;
+    spec.storePath = path;
+    spec.verbose = false;
     runStudy(spec);
     const auto lines = storeLines(path);
     ASSERT_EQ(lines.size(), 3u);

@@ -9,11 +9,19 @@
 namespace gpr {
 namespace {
 
+StudySpec
+aceOnlySpec()
+{
+    StudySpec spec;
+    spec.aceOnly = true;
+    return spec;
+}
+
 TEST(Framework, AceOnlyAnalysisIsFastAndComplete)
 {
     ReliabilityFramework fw(GpuModel::GeforceGtx480);
     const ReliabilityReport r =
-        fw.analyze("reduction", StudySpecBuilder().aceOnly().build());
+        fw.analyze("reduction", aceOnlySpec());
 
     EXPECT_EQ(r.workload, "reduction");
     EXPECT_EQ(r.gpuName, "GeForce GTX 480");
@@ -49,8 +57,9 @@ TEST(Framework, AceOnlyAnalysisIsFastAndComplete)
 TEST(Framework, FiAnalysisPopulatesCampaignFields)
 {
     ReliabilityFramework fw(GpuModel::QuadroFx5600);
-    const ReliabilityReport r =
-        fw.analyze("vectoradd", StudySpecBuilder().injections(40).build());
+    StudySpec spec;
+    spec.plan.injections = 40;
+    const ReliabilityReport r = fw.analyze("vectoradd", spec);
 
     const StructureReport& rf =
         r.forStructure(TargetStructure::VectorRegisterFile);
@@ -69,7 +78,7 @@ TEST(Framework, ScalarFileReportedOnAmd)
 {
     ReliabilityFramework fw(GpuModel::HdRadeon7970);
     const ReliabilityReport r =
-        fw.analyze("vectoradd", StudySpecBuilder().aceOnly().build());
+        fw.analyze("vectoradd", aceOnlySpec());
     const StructureReport& srf =
         r.forStructure(TargetStructure::ScalarRegisterFile);
     EXPECT_TRUE(srf.applicable);
@@ -96,7 +105,7 @@ TEST(Framework, SummaryPrintsAllSections)
 {
     ReliabilityFramework fw(GpuModel::GeforceGtx480);
     const ReliabilityReport r =
-        fw.analyze("matrixMul", StudySpecBuilder().aceOnly().build());
+        fw.analyze("matrixMul", aceOnlySpec());
     std::ostringstream os;
     r.printSummary(os);
     const std::string text = os.str();

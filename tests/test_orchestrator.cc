@@ -25,12 +25,12 @@ namespace {
 StudySpec
 miniStudy(std::size_t injections = 24)
 {
-    return StudySpecBuilder()
-        .workloads({"vectoradd", "reduction"})
-        .gpu(GpuModel::QuadroFx5600)
-        .injections(injections)
-        .verbose(false)
-        .build();
+    StudySpec spec;
+    spec.workloads = {"vectoradd", "reduction"};
+    spec.gpus = {GpuModel::QuadroFx5600};
+    spec.plan.injections = injections;
+    spec.verbose = false;
+    return spec;
 }
 
 /** @p spec with its execution knobs set. */
@@ -392,14 +392,14 @@ TEST(Orchestrator, WallSecondsAggregateWithoutDoubleCounting)
 StudySpec
 admissionSpec(std::vector<std::string> workloads)
 {
-    return StudySpecBuilder()
-        .workloads(std::move(workloads))
-        .gpu(GpuModel::QuadroFx5600)
-        .structure(TargetStructure::VectorRegisterFile)
-        .injections(12)
-        .shardsPerCampaign(3)
-        .verbose(false)
-        .build();
+    StudySpec spec;
+    spec.workloads = std::move(workloads);
+    spec.gpus = {GpuModel::QuadroFx5600};
+    spec.structures = {TargetStructure::VectorRegisterFile};
+    spec.plan.injections = 12;
+    spec.shardsPerCampaign = 3;
+    spec.verbose = false;
+    return spec;
 }
 
 TEST(Orchestrator, AdmissionBoundsLivePacksByJobs)
@@ -492,17 +492,15 @@ TEST(Orchestrator, AdaptiveStoppingPointsIgnoreAdmissionOrder)
     // Longest-first admission reorders the cells' execution; the
     // stopping rule reads only each campaign's ordered prefix, so the
     // stopping points and every interval stay bit-identical.
-    StudySpec spec = StudySpecBuilder()
-                         .workloads({"vectoradd", "reduction", "scan",
-                                     "histogram"})
-                         .gpu(GpuModel::QuadroFx5600)
-                         .structures({TargetStructure::VectorRegisterFile,
-                                      TargetStructure::SimtStack})
-                         .margin(0.1)
-                         .confidence(0.9)
-                         .maxInjections(200)
-                         .verbose(false)
-                         .build();
+    StudySpec spec;
+    spec.workloads = {"vectoradd", "reduction", "scan", "histogram"};
+    spec.gpus = {GpuModel::QuadroFx5600};
+    spec.structures = {TargetStructure::VectorRegisterFile,
+                       TargetStructure::SimtStack};
+    spec.plan.margin = 0.1;
+    spec.plan.confidence = 0.9;
+    spec.plan.maxInjections = 200;
+    spec.verbose = false;
     spec.jobs = 1;
     StudyProgress serial_progress;
     const StudyResult serial = runStudy(spec, &serial_progress);

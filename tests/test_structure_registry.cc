@@ -128,8 +128,9 @@ TEST(StructureRegistry, UnregisteredIdsFailLoudlyEverywhere)
 TEST(StructureRegistry, ExportListsEveryStructureExactlyOnce)
 {
     ReliabilityFramework fw(GpuModel::GeforceGtx480);
-    const ReliabilityReport r =
-        fw.analyze("reduction", StudySpecBuilder().aceOnly().build());
+    StudySpec spec;
+    spec.aceOnly = true;
+    const ReliabilityReport r = fw.analyze("reduction", spec);
 
     std::ostringstream json;
     writeReportJson(json, r);

@@ -219,10 +219,9 @@ cmdAnalyze(const std::string& workload, const std::string& gpu,
            const char* n_arg, bool json)
 {
     ReliabilityFramework fw(gpuModelFromName(gpu));
-    const std::size_t injections =
+    StudySpec spec;
+    spec.plan.injections =
         n_arg ? parseInjectionCount("analyze", n_arg) : 400;
-    const StudySpec spec =
-        StudySpecBuilder().injections(injections).build();
     const ReliabilityReport report = fw.analyze(workload, spec);
     if (json) {
         writeReportJson(std::cout, report);

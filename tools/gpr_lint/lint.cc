@@ -486,15 +486,15 @@ ruleD3(const Walker& w, const Annotations& a, std::string_view file,
             w.nextText(i) != "::") {
             emit(out, a, Rule::D3_RawThread, file, t[i].line,
                  "raw std::" + name +
-                     " outside common/worker_pool.*; submit to the "
-                     "shared WorkerPool so parallelism stays "
-                     "deterministic and bounded");
+                     " outside common/worker_pool.*; submit to a "
+                     "WorkerPool so parallelism stays deterministic "
+                     "and bounded");
         }
         if (name == "async" && w.prevText(i) == "::" &&
             w.id(i - 2, "std")) {
             emit(out, a, Rule::D3_RawThread, file, t[i].line,
                  "std::async spawns unmanaged threads with "
-                 "launch-policy-dependent scheduling; use the shared "
+                 "launch-policy-dependent scheduling; use a "
                  "WorkerPool");
         }
         if (name == "detach" &&

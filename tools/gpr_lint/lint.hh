@@ -20,8 +20,9 @@
  *    order-dependent.  Order-insensitive folds suppress per-site.
  *  - **D3 raw-thread**: no std::thread/std::jthread construction,
  *    std::async, or .detach() outside common/worker_pool.* — all
- *    parallelism goes through the shared WorkerPool so campaigns stay
- *    deadlock-free and deterministic by (seed, index) decomposition.
+ *    parallelism goes through a WorkerPool, whose threads are always
+ *    joined, so campaigns stay deterministic by (seed, index)
+ *    decomposition.
  *  - **D4 unguarded-shared-state**: `mutable` members and non-const
  *    static objects must be atomics / sync primitives, or carry a
  *    `// gpr:guarded_by(<discipline>)` annotation naming the mutex or
