@@ -17,7 +17,8 @@
  *           [--checkpoints=N] [--seed=S]
  *
  * --injections takes a positive integer, --checkpoints and --seed
- * non-negative ones; anything else exits 2 with an error message.
+ * non-negative ones that fit their type; anything else exits 2 with an
+ * error message.
  *
  * By default every registered structure applicable to a cell is run
  * (including the control-state targets, which skip the dead-window
@@ -53,6 +54,7 @@
 #include "common/logging.hh"
 #include "common/random.hh"
 #include "common/string_utils.hh"
+#include "core/bench_cli.hh"
 #include "core/study_spec.hh"
 #include "reliability/campaign.hh"
 #include "reliability/fault_injector.hh"
@@ -108,19 +110,6 @@ run(int argc, char** argv)
     unsigned checkpoints = kDefaultCheckpoints;
     std::uint64_t seed = 0xC0FFEE;
 
-    // A malformed count is refused, never replaced by its default.
-    const auto int_flag = [](const std::string& arg, std::string_view flag,
-                             std::int64_t min) {
-        const std::string text = arg.substr(flag.size() + 1);
-        const auto n = parseInt(text);
-        if (!n || *n < min) {
-            fatal("bench_injection_throughput: ", flag, " must be a ",
-                  min > 0 ? "positive" : "non-negative", " integer, got '",
-                  text, "'");
-        }
-        return *n;
-    };
-
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (startsWith(arg, "--workloads=")) {
@@ -143,13 +132,13 @@ run(int argc, char** argv)
                 return 2;
             }
         } else if (startsWith(arg, "--injections=")) {
-            injections =
-                static_cast<std::size_t>(int_flag(arg, "--injections", 1));
+            injections = intFlag<std::size_t>(arg, "--injections");
+            if (injections == 0)
+                fatal("--injections must be positive, got '0'");
         } else if (startsWith(arg, "--checkpoints=")) {
-            checkpoints =
-                static_cast<unsigned>(int_flag(arg, "--checkpoints", 0));
+            checkpoints = intFlag<unsigned>(arg, "--checkpoints");
         } else if (startsWith(arg, "--seed=")) {
-            seed = static_cast<std::uint64_t>(int_flag(arg, "--seed", 0));
+            seed = intFlag<std::uint64_t>(arg, "--seed");
         } else {
             std::fprintf(stderr,
                          "usage: bench_injection_throughput "

@@ -1,8 +1,6 @@
 #include "core/bench_cli.hh"
 
-#include <algorithm>
 #include <cstdio>
-#include <limits>
 #include <ostream>
 
 #include "common/logging.hh"
@@ -36,27 +34,6 @@ usage()
         "        [default: the fixed-size equivalent].  --checkpoints=0\n"
         "        runs every injection from scratch — the legacy engine\n"
         "        kept for differential testing)\n");
-}
-
-/**
- * The value of @p arg, an integer flag `<flag>=N`, as a T.  Throws
- * FatalError naming the flag and the value unless N is a non-negative
- * integer that T holds (runToolMain reports it as `error: …`, exit 2).
- */
-template <typename T>
-T
-intFlag(const std::string& arg, std::string_view flag)
-{
-    const std::string text = arg.substr(flag.size() + 1);
-    const std::uint64_t max = std::min<std::uint64_t>(
-        std::numeric_limits<T>::max(),
-        std::numeric_limits<std::int64_t>::max());
-    const auto n = parseInt(text);
-    if (!n || *n < 0 || static_cast<std::uint64_t>(*n) > max) {
-        fatal(flag, " must be an integer in [0, ", max, "], got '", text,
-              "'");
-    }
-    return static_cast<T>(*n);
 }
 
 } // namespace

@@ -25,10 +25,11 @@
  *   --seed=S          campaign seed (default 0xC0FFEE)
  *   --jobs=N          worker threads (default: hardware concurrency)
  *   --shards=N        campaign shards (default: derived from the plan)
- *   --checkpoints=N   golden-run checkpoint budget for the
+ *   --checkpoints=N   evenly spaced golden-run checkpoints for the
  *                     checkpoint-restore injection engine (default
- *                     kDefaultCheckpoints, 16; 0 = legacy from-scratch
- *                     engine, kept for differential tests)
+ *                     kDefaultCheckpoints, 16; at most kMaxCheckpoints,
+ *                     511; 0 = legacy from-scratch engine, kept for
+ *                     differential tests)
  *   --store=FILE      JSONL shard store to checkpoint into
  *   --resume[=FILE]   resume from the store, skipping finished shards
  *                     (refused with a spec-hash error if the store was
@@ -55,8 +56,14 @@
 #ifndef GPR_CORE_BENCH_CLI_HH
 #define GPR_CORE_BENCH_CLI_HH
 
+#include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <string>
+#include <string_view>
 
+#include "common/logging.hh"
+#include "common/string_utils.hh"
 #include "core/orchestrator.hh"
 #include "reliability/campaign.hh"
 
@@ -115,6 +122,27 @@ struct BenchCli
      */
     bool printStudyJson(std::ostream& os, const StudyResult& study) const;
 };
+
+/**
+ * The value of @p arg, an integer flag `<flag>=N`, as a T.  Throws
+ * FatalError naming the flag and the value unless N is a non-negative
+ * integer that T holds (runToolMain reports it as `error: …`, exit 2).
+ */
+template <typename T>
+T
+intFlag(const std::string& arg, std::string_view flag)
+{
+    const std::string text = arg.substr(flag.size() + 1);
+    const std::uint64_t max = std::min<std::uint64_t>(
+        std::numeric_limits<T>::max(),
+        std::numeric_limits<std::int64_t>::max());
+    const auto n = parseInt(text);
+    if (!n || *n < 0 || static_cast<std::uint64_t>(*n) > max) {
+        fatal(flag, " must be an integer in [0, ", max, "], got '", text,
+              "'");
+    }
+    return static_cast<T>(*n);
+}
 
 /**
  * Parse @p arg, a positional injection-count argument of @p tool.

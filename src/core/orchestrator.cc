@@ -638,7 +638,6 @@ runStudy(const StudySpec& spec, StudyProgress* progress_out)
                 cell->pack = std::move(pack);
                 ++progress.checkpointPacks;
                 progress.packBuildSeconds += build_seconds;
-                progress.packPhaseSeconds += cell->pack->buildSeconds;
                 progress.peakLivePacks =
                     std::max(progress.peakLivePacks, ++live_packs);
                 progress.peakPackBytes = std::max(
@@ -867,13 +866,7 @@ runStudy(const StudySpec& spec, StudyProgress* progress_out)
                strprintf("%.1f", progress.injectionsPerSecond()), "/s, ",
                progress.checkpointPacks, " checkpoint packs built in ",
                strprintf("%.2f", progress.packBuildSeconds),
-               " worker-s (pass A ",
-               strprintf("%.2f", progress.packPhaseSeconds.passA),
-               ", placement ",
-               strprintf("%.2f", progress.packPhaseSeconds.placement),
-               ", pass B ",
-               strprintf("%.2f", progress.packPhaseSeconds.passB),
-               "), at most ", progress.peakLivePacks,
+               " worker-s, at most ", progress.peakLivePacks,
                " alive at once, peak ", progress.peakPackBytes / 1024,
                " KiB delta-encoded vs ", progress.peakPackFullBytes / 1024,
                " KiB full)");

@@ -92,7 +92,8 @@ struct StudySpec
     /** Shards per campaign; 0 derives a deterministic default from the
      *  sample plan (independent of `jobs`). */
     std::size_t shardsPerCampaign = 0;
-    /** Checkpoints per golden run; 0 = legacy from-scratch engine. */
+    /** Evenly spaced checkpoints per golden run, clamped to
+     *  kMaxCheckpoints; 0 = legacy from-scratch engine. */
     unsigned checkpoints = kDefaultCheckpoints;
     /** JSONL shard store path; empty disables checkpointing. */
     std::string storePath;

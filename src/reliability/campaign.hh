@@ -30,10 +30,11 @@ struct CampaignConfig
     unsigned numThreads = 0;
     /** Keep every per-injection record (memory-heavy for big campaigns). */
     bool keepRecords = false;
-    /** Checkpoint budget for the checkpoint-restore injection engine;
-     *  0 runs every injection from scratch (legacy engine, identical
-     *  counts).  The fault-aware placer distributes the budget — see
-     *  the README's checkpoint-engine migration note. */
+    /** Checkpoint budget for the checkpoint-restore injection engine:
+     *  that many evenly spaced checkpoints, at most kMaxCheckpoints and
+     *  one per golden cycle; 0 runs every injection from scratch
+     *  (legacy engine, identical counts).  See the README's
+     *  checkpoint-engine migration note. */
     unsigned checkpoints = kDefaultCheckpoints;
     /** Fault shape every injection of the campaign carries (target,
      *  bit and cycle stay per-injection samples).  Default = transient

@@ -1,8 +1,8 @@
 #include "reliability/fault_injector.hh"
 
 // gpr:lint-allow-file(D1): timing whitelist — PhaseClock reads feed only
-// the InjectionPhaseStats and PackBuildSeconds diagnostics, never
-// outcomes, hashes, or RNG draws.
+// the InjectionPhaseStats diagnostics, never outcomes, hashes, or RNG
+// draws.
 
 #include <algorithm>
 #include <chrono>
@@ -50,6 +50,23 @@ deadWindowUnit(const GpuConfig& config, const StructureSpec& spec,
     const unsigned width = faultPatternWidth(fault.pattern);
     return cacheDataUnit(config.cacheLineWords(),
                          fault.bitIndex - fault.bitIndex % width, width);
+}
+
+/**
+ * The checkpoint cycles FaultInjector::buildCheckpointPack() places for
+ * a golden run of @p golden >= 1 cycles: strictly ascending inside
+ * (0, golden), since the spacing golden/(n+1) is at least one cycle.
+ */
+std::vector<Cycle>
+evenCheckpointCycles(Cycle golden, unsigned budget)
+{
+    const std::uint64_t n =
+        std::min<std::uint64_t>({budget, kMaxCheckpoints, golden - 1});
+    std::vector<Cycle> cycles;
+    cycles.reserve(n);
+    for (std::uint64_t i = 1; i <= n; ++i)
+        cycles.push_back(golden * i / (n + 1));
+    return cycles;
 }
 
 using PhaseClock = std::chrono::steady_clock;
@@ -139,47 +156,26 @@ FaultInjector::buildCheckpointPack(unsigned checkpoints)
         cache_words(config_.l2Lines()) + instance_.image.sizeWords();
     pack->hashInterval = chooseHashInterval(golden, state_words);
 
-    // Pass A: observability windows + golden trajectory hashes.  No
-    // checkpoints yet — the fault-aware placer needs the windows first.
-    const auto pass_a_start = PhaseClock::now();
+    // One recording pass: windows, trajectory hashes, the cycle-0
+    // baseline and a delta at each checkpoint cycle.
     FaultWindowRecorder window_recorder(config_);
-    RunOptions pass_a;
-    pass_a.recordHashes = &pack->hashes;
-    pass_a.hashInterval = pack->hashInterval;
-    pass_a.observer = &window_recorder;
-    const RunResult run_a = gpu_.run(instance_.program, instance_.launch,
-                                     instance_.image, pass_a);
-    GPR_ASSERT(run_a.clean() && run_a.stats.cycles == golden,
+    CheckpointRecorder recorder;
+    recorder.checkpointCycles = evenCheckpointCycles(golden, checkpoints);
+    RunOptions options;
+    options.observer = &window_recorder;
+    options.recorder = &recorder;
+    options.hashInterval = pack->hashInterval;
+    const RunResult run = gpu_.run(instance_.program, instance_.launch,
+                                   instance_.image, options);
+    GPR_ASSERT(run.clean() && run.stats.cycles == golden,
                "recording pass diverged from the golden run — the "
                "simulator is not deterministic");
     window_recorder.finalize(pack->windows);
-    pack->buildSeconds.passA = secondsSince(pass_a_start);
-
-    // Distribute the checkpoint budget.
-    const auto placement_start = PhaseClock::now();
-    CheckpointRecorder recorder;
-    recorder.checkpointCycles =
-        pack->windows.placeCheckpoints(config_, golden, checkpoints);
-    pack->buildSeconds.placement = secondsSince(placement_start);
-
-    // Pass B: cycle-0 baseline + a delta checkpoint per placed cycle.
-    const auto pass_b_start = PhaseClock::now();
-    std::vector<std::uint64_t> hashes_b;
-    RunOptions pass_b;
-    pass_b.recorder = &recorder;
-    pass_b.recordHashes = &hashes_b;
-    pass_b.hashInterval = pack->hashInterval;
-    const RunResult run_b = gpu_.run(instance_.program, instance_.launch,
-                                     instance_.image, pass_b);
-    GPR_ASSERT(run_b.clean() && run_b.stats.cycles == golden &&
-                   hashes_b == pack->hashes,
-               "recording pass diverged from the golden run — the "
-               "simulator is not deterministic");
+    pack->hashes = std::move(recorder.hashes);
     pack->baseline = std::move(recorder.baseline);
     pack->deltas = std::move(recorder.deltas);
     GPR_ASSERT(!pack->deltas.empty() && pack->deltas.front().now == 0,
                "delta recording lost its cycle-0 checkpoint");
-    pack->buildSeconds.passB = secondsSince(pass_b_start);
 
     adoptCheckpointPack(pack);
     return pack;

@@ -72,25 +72,6 @@ struct InjectionResult
     }
 };
 
-/** Wall-clock of one checkpoint-pack build, split by part (diagnostics
- *  only: never feeds outcomes). */
-struct PackBuildSeconds
-{
-    /** Pass A: the windows + trajectory-hash recording run, plus
-     *  FaultWindowRecorder::finalize(). */
-    double passA = 0.0;
-    double placement = 0.0; ///< distributing the checkpoint budget
-    double passB = 0.0;     ///< the delta-checkpoint recording run
-
-    void
-    operator+=(const PackBuildSeconds& o)
-    {
-        passA += o.passA;
-        placement += o.placement;
-        passB += o.passB;
-    }
-};
-
 /**
  * One golden run's checkpoint pack (delta-encoded): a single full
  * baseline at cycle 0 plus per-checkpoint dirty page sets against it,
@@ -116,8 +97,6 @@ struct CheckpointPack
     std::vector<GpuCheckpointDelta> deltas;
     /** Exact per-word observability windows of the golden run. */
     FaultWindows windows;
-    /** Where the build's time went. */
-    PackBuildSeconds buildSeconds;
 
     /** Resident bytes of the checkpoint state (baseline + deltas). */
     std::size_t
@@ -211,14 +190,12 @@ class FaultInjector
     void adoptGoldenCycles(Cycle cycles);
 
     /**
-     * Record a checkpoint pack in two golden passes and arm this
-     * injector with it.  Pass A records the observability windows and
-     * the per-interval trajectory hashes; the @p checkpoints budget is
-     * then placed over the run with pass A's windows as the density
-     * model (FaultWindows::placeCheckpoints); pass B captures the
-     * cycle-0 baseline plus a delta checkpoint at each placed cycle.
-     * The time of each part lands in CheckpointPack::buildSeconds.
-     * Requires the golden cycle count (runs or adopts it first).
+     * Record a checkpoint pack in one golden pass and arm this injector
+     * with it.  The pass records the observability windows, the
+     * per-interval trajectory hashes, the cycle-0 baseline and a delta
+     * checkpoint at each of n = min(@p checkpoints, kMaxCheckpoints,
+     * golden - 1) evenly spaced cycles golden*i/(n+1), i = 1..n, so it
+     * needs only the golden cycle count (runs or adopts it first).
      * Returns the pack so sibling injectors of the same cell can adopt
      * it instead of re-recording.  @p checkpoints == 0 yields a
      * baseline-only pack (anchored restarts from cycle 0, hash
@@ -317,6 +294,13 @@ class FaultInjector
  *  default is twice the full-snapshot era's 8: the extra checkpoints
  *  buy shorter fast-forward replay for a sub-linear memory increase. */
 constexpr unsigned kDefaultCheckpoints = 16;
+
+/** The most checkpoints one pack holds; a larger budget is clamped to
+ *  it, so pack memory stays bounded whatever `--checkpoints` asks for.
+ *  511 keeps the ceiling of the earlier fault-aware placer (512
+ *  histogram buckets), so no budget places more checkpoints than it
+ *  did there. */
+constexpr unsigned kMaxCheckpoints = 511;
 
 } // namespace gpr
 

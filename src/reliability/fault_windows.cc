@@ -85,150 +85,6 @@ FaultWindows::intervalCount() const
     return n;
 }
 
-std::vector<Cycle>
-FaultWindows::placeCheckpoints(const GpuConfig& config, Cycle goldenCycles,
-                               unsigned budget) const
-{
-    if (budget == 0 || goldenCycles <= 1)
-        return {};
-
-    // Observed-bit density histogram over the golden run.  Bucket k
-    // covers cycles [lo[k], lo[k+1]) with lo[k] = k*g/B; all weights live
-    // at the bucket granularity, which is plenty for placing a handful
-    // of checkpoints.
-    const std::size_t kBuckets =
-        static_cast<std::size_t>(std::min<Cycle>(512, goldenCycles));
-    std::vector<Cycle> lo(kBuckets + 1);
-    for (std::size_t k = 0; k <= kBuckets; ++k)
-        lo[k] = goldenCycles * k / kBuckets;
-    // The bucket of cycle c < g.  c*B/g can land one bucket short of
-    // the one lo[] defines, so estimate, then settle against lo[].
-    const double buckets_per_cycle =
-        static_cast<double>(kBuckets) / static_cast<double>(goldenCycles);
-    const auto bucket_of = [&](Cycle c) {
-        std::size_t k = std::min(
-            kBuckets - 1,
-            static_cast<std::size_t>(static_cast<double>(c) *
-                                     buckets_per_cycle));
-        while (lo[k] > c)
-            --k;
-        while (lo[k + 1] <= c)
-            ++k;
-        return k;
-    };
-
-    // Weights are integers (observed bit-cycles), so they are summed
-    // exactly in integers and converted once: the double each bucket
-    // gets does not depend on the order of the sum.  An interval adds
-    // its partial first and last buckets directly and marks the buckets
-    // it fully covers in a difference array, so the histogram costs
-    // O(intervals + buckets) whatever the intervals' lengths.
-    std::vector<std::uint64_t> observed_cycles(kBuckets, 0);
-    std::vector<std::int64_t> cover_delta(kBuckets + 1, 0);
-    std::uint64_t uniform_bits = 0;
-    for (const StructureSpec& spec : structureRegistry()) {
-        const std::uint64_t bits_per_sm = spec.bitsPerSm(config);
-        if (bits_per_sm == 0)
-            continue; // structure absent on this chip
-        // Cache rows keep uniform weight: their tag, valid and dirty
-        // bits have no windows.
-        if (enabled_ && spec.exactDeadWindows &&
-            spec.kind == StructureKind::WordStorage) {
-            // 32 observable bits per word-interval cycle.
-            const StructureWindows& w = forStructure(spec.id);
-            for (const Interval& iv : w.intervals) {
-                const Cycle first = iv.begin;
-                const Cycle last = std::min(iv.end, goldenCycles - 1);
-                if (first > last)
-                    continue;
-                const std::size_t kf = bucket_of(first);
-                const std::size_t kl = bucket_of(last);
-                if (kf == kl) {
-                    observed_cycles[kf] += last + 1 - first;
-                    continue;
-                }
-                observed_cycles[kf] += lo[kf + 1] - first;
-                observed_cycles[kl] += last + 1 - lo[kl];
-                ++cover_delta[kf + 1];
-                --cover_delta[kl];
-            }
-        } else {
-            // No prefilter for this structure: every bit needs
-            // simulation at every cycle — uniform weight.
-            const std::uint64_t instances =
-                spec.scope == StructureScope::PerSm ? config.numSms : 1;
-            uniform_bits += bits_per_sm * instances;
-        }
-    }
-    std::vector<double> weight(kBuckets);
-    std::int64_t covering = 0;
-    for (std::size_t k = 0; k < kBuckets; ++k) {
-        covering += cover_delta[k];
-        const std::uint64_t width = lo[k + 1] - lo[k];
-        weight[k] = static_cast<double>(
-            32 * (observed_cycles[k] +
-                  static_cast<std::uint64_t>(covering) * width) +
-            uniform_bits * width);
-    }
-
-    // Prefix sums of weight and weight*cycle (bucket midpoints), so the
-    // replay cost of serving buckets [a, b) from a checkpoint at the
-    // start of bucket a is O(1).
-    std::vector<double> s0(kBuckets + 1, 0.0), s1(kBuckets + 1, 0.0);
-    for (std::size_t k = 0; k < kBuckets; ++k) {
-        const double mid = 0.5 * static_cast<double>(lo[k] + lo[k + 1]);
-        s0[k + 1] = s0[k] + weight[k];
-        s1[k + 1] = s1[k] + weight[k] * mid;
-    }
-    const auto segment_cost = [&](std::size_t a, std::size_t b) {
-        // Sum over buckets [a, b) of weight * (midpoint - checkpoint).
-        return (s1[b] - s1[a]) - static_cast<double>(lo[a]) * (s0[b] - s0[a]);
-    };
-
-    // DP: best[m][b] = min cost of buckets [0, b) using the implicit
-    // cycle-0 checkpoint plus m placed ones, the m-th at a boundary
-    // <= b.  O(budget * B^2) — at most a few million steps.
-    const std::size_t m_max =
-        std::min<std::size_t>(budget, kBuckets - 1);
-    std::vector<double> prev(kBuckets + 1), cur(kBuckets + 1);
-    std::vector<std::vector<std::uint32_t>> parent(
-        m_max, std::vector<std::uint32_t>(kBuckets + 1, 0));
-    for (std::size_t b = 0; b <= kBuckets; ++b)
-        prev[b] = segment_cost(0, b);
-    for (std::size_t m = 0; m < m_max; ++m) {
-        for (std::size_t b = 0; b <= kBuckets; ++b) {
-            double best = prev[b]; // skip this checkpoint entirely
-            std::uint32_t arg = 0; // 0 encodes "unused"
-            for (std::size_t a = 1; a <= b; ++a) {
-                const double c = prev[a] + segment_cost(a, b);
-                if (c < best) {
-                    best = c;
-                    arg = static_cast<std::uint32_t>(a);
-                }
-            }
-            cur[b] = best;
-            parent[m][b] = arg;
-        }
-        std::swap(prev, cur);
-    }
-
-    // Walk the parents back from the full range.
-    std::vector<Cycle> cycles;
-    std::size_t b = kBuckets;
-    for (std::size_t m = m_max; m-- > 0;) {
-        const std::uint32_t a = parent[m][b];
-        if (a == 0)
-            continue; // this checkpoint did not reduce the cost
-        cycles.push_back(lo[a]);
-        b = a;
-    }
-    std::sort(cycles.begin(), cycles.end());
-    cycles.erase(std::unique(cycles.begin(), cycles.end()), cycles.end());
-    while (!cycles.empty() && cycles.front() == 0)
-        cycles.erase(cycles.begin());
-    return cycles;
-}
-
 FaultWindowRecorder::FaultWindowRecorder(const GpuConfig& config)
 {
     for (const StructureSpec& spec : structureRegistry()) {

@@ -127,26 +127,6 @@ class FaultWindows
     /** Total recorded intervals (tests / diagnostics). */
     std::size_t intervalCount() const;
 
-    /**
-     * Choose up to @p budget checkpoint cycles in (0, @p goldenCycles)
-     * minimising the expected replay distance of a uniformly sampled
-     * fault that survives the dead-window prefilter.  The per-cycle
-     * weight is the number of fault-space bits whose injection at that
-     * cycle requires simulation: for word storage, 32 bits per word
-     * live inside an observability interval; for everything else
-     * (control bits, and cache rows, whose tag/valid/dirty bits have
-     * no windows) the full bit count, uniformly.  Solved exactly over a
-     * bucketed histogram by dynamic programming, with an implicit free
-     * checkpoint at cycle 0.
-     * Returns ascending, deduplicated cycles (possibly fewer than the
-     * budget when extra checkpoints cannot reduce the cost).  With
-     * windows disabled the weight is uniform and the result is close to
-     * even spacing.
-     */
-    std::vector<Cycle> placeCheckpoints(const GpuConfig& config,
-                                        Cycle goldenCycles,
-                                        unsigned budget) const;
-
   private:
     friend class FaultWindowRecorder;
 

@@ -231,17 +231,13 @@ Gpu::run(const Program& prog, const LaunchConfig& launch, MemoryImage image,
     GPR_ASSERT(launch.numBlocks() > 0, "empty grid");
 
     GPR_ASSERT(!options.resumeDelta ||
-                   (!options.observer && !options.recorder &&
-                    !options.recordHashes),
+                   (!options.observer && !options.recorder),
                "a resumed run cannot be observed or re-recorded");
     GPR_ASSERT(options.imageInOut ? options.resumeDelta != nullptr
                                   : options.resumeDelta == nullptr,
                "delta resume and imageInOut come as a pair");
-    GPR_ASSERT((!options.recorder && !options.recordHashes) ||
-                   !options.fault,
+    GPR_ASSERT(!options.recorder || !options.fault,
                "golden recordings are taken on the fault-free run");
-    GPR_ASSERT(!options.recordHashes || options.hashInterval > 0,
-               "recording hashes requires a hash interval");
     GPR_ASSERT(!options.fault || !options.fault->persistent() ||
                    !options.goldenHashes ||
                    options.convergeMinCycle > options.fault->cycle,
@@ -352,12 +348,12 @@ Gpu::run(const Program& prog, const LaunchConfig& launch, MemoryImage image,
 
         if (options.recorder) {
             // Capture the baseline every delta checkpoint encodes
-            // against, plus a delta for cycle 0 itself (the placement's
-            // implicit first checkpoint): its page sets are empty, but
-            // it carries the control state and the free lists and
-            // allocation counters applyStorageDelta adopts wholesale.
-            // From here on the dirty tracking measures divergence from
-            // the baseline.
+            // against, plus a delta for cycle 0 itself (the checkpoint
+            // that serves faults before the first requested cycle): its
+            // page sets are empty, but it carries the control state and
+            // the free lists and allocation counters applyStorageDelta
+            // adopts wholesale.  From here on the dirty tracking measures
+            // divergence from the baseline.
             GpuCheckpoint& base = options.recorder->baseline;
             base = snapshot();
             base.memory = *img;
@@ -440,9 +436,9 @@ Gpu::run(const Program& prog, const LaunchConfig& launch, MemoryImage image,
         }
 
         if (hash_interval && now == next_boundary) {
-            if (options.recordHashes) {
+            if (options.recorder) {
                 const auto t0 = PhaseClock::now();
-                options.recordHashes->push_back(runStateHash(
+                options.recorder->hashes.push_back(runStateHash(
                     ctx, *img, result.stats.blocksCompleted));
                 result.hashSeconds += secondsSince(t0);
             } else if (options.goldenHashes && !fault_pending &&

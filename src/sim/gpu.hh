@@ -104,7 +104,9 @@ struct GpuCheckpointDelta
 /**
  * Output channel for a golden checkpoint-recording pass: Gpu::run
  * captures the cycle-0 baseline (after initial dispatch), then encodes
- * a delta against it at cycle 0 and at each requested cycle.
+ * a delta against it at cycle 0 and at each requested cycle, and
+ * records the trajectory hash at every RunOptions::hashInterval
+ * boundary.
  */
 struct CheckpointRecorder
 {
@@ -115,6 +117,10 @@ struct CheckpointRecorder
     /** Delta checkpoints: cycle 0, then each reached requested cycle
      *  (output). */
     std::vector<GpuCheckpointDelta> deltas;
+    /** The golden trajectory's state hash at cycle k*hashInterval for
+     *  k = 1, 2, ...: element k-1 is the digest at the *start* of that
+     *  cycle (output; empty when hashInterval is 0). */
+    std::vector<std::uint64_t> hashes;
 };
 
 struct RunOptions
@@ -136,7 +142,7 @@ struct RunOptions
      * imageInOut must point to a scratch image whose dirty tracking is
      * likewise anchored to that baseline's image — then the restore
      * touches only pages the previous run wrote, instead of copying the
-     * whole state.  Incompatible with observer/recorder/recordHashes.
+     * whole state.  Incompatible with observer/recorder.
      */
     const GpuCheckpointDelta* resumeDelta = nullptr;
 
@@ -148,14 +154,9 @@ struct RunOptions
      * image across a campaign's injections without per-run copies.
      */
     MemoryImage* imageInOut = nullptr;
-    /** Record the baseline + delta checkpoints along this (fault-free)
-     *  run. */
+    /** Record the baseline, the delta checkpoints and the trajectory
+     *  hashes along this (fault-free) run. */
     CheckpointRecorder* recorder = nullptr;
-    /** Append the golden trajectory's state hash at every hashInterval
-     *  boundary of this (fault-free) run: cycle k*hashInterval for
-     *  k = 1, 2, ...; element k-1 is the digest at the *start* of that
-     *  cycle. */
-    std::vector<std::uint64_t>* recordHashes = nullptr;
     /** State-hash boundary spacing in cycles; 0 disables hashing.  Must
      *  be identical between the recording run and any comparing run. */
     Cycle hashInterval = 0;

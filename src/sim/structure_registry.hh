@@ -60,7 +60,7 @@ enum class StructureKind : std::uint8_t
  * Whether one instance of the structure exists per SM (the registry's
  * historical assumption) or once for the whole chip (the shared L2).
  * Everything that multiplies a per-instance size by numSms — total
- * bits/units, ACE tracker sizing, checkpoint-placement weights — is
+ * bits/units, ACE tracker sizing, window recorder sizing — is
  * scope-aware; chip-scoped structures report observer events as SM 0.
  */
 enum class StructureScope : std::uint8_t

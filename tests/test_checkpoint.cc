@@ -10,6 +10,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
+#include <map>
 #include <optional>
 #include <string>
 #include <vector>
@@ -40,12 +42,11 @@ hashIntervalOf(const RunResult& golden)
 /**
  * Record the cycle-0 baseline of @p inst plus delta checkpoints at a
  * quarter, half and three quarters of @p golden's run, and the golden
- * trajectory hashes into @p hashes.
+ * trajectory hashes.
  */
 CheckpointRecorder
 recordCheckpoints(Gpu& gpu, const WorkloadInstance& inst,
-                  const RunResult& golden,
-                  std::vector<std::uint64_t>& hashes)
+                  const RunResult& golden)
 {
     const Cycle g = golden.stats.cycles;
     EXPECT_GT(g, 4u);
@@ -53,7 +54,6 @@ recordCheckpoints(Gpu& gpu, const WorkloadInstance& inst,
     recorder.checkpointCycles = {g / 4, g / 2, (3 * g) / 4};
     RunOptions options;
     options.recorder = &recorder;
-    options.recordHashes = &hashes;
     options.hashInterval = hashIntervalOf(golden);
     const RunResult rec = gpu.run(inst.program, inst.launch, inst.image,
                                   options);
@@ -72,9 +72,7 @@ TEST(Checkpoint, SnapshotMutateRestoreRoundTrip)
     const RunResult golden =
         gpu.run(inst.program, inst.launch, inst.image);
     ASSERT_TRUE(golden.clean());
-    std::vector<std::uint64_t> hashes;
-    const CheckpointRecorder recorder =
-        recordCheckpoints(gpu, inst, golden, hashes);
+    const CheckpointRecorder recorder = recordCheckpoints(gpu, inst, golden);
     const GpuCheckpoint& cp = recorder.baseline;
     EXPECT_GT(cp.nextBlock, 0u); // taken after the initial dispatch
 
@@ -160,9 +158,7 @@ TEST(Checkpoint, DeltaResumeReproducesGolden)
             const RunResult golden =
                 gpu.run(inst.program, inst.launch, inst.image);
             ASSERT_TRUE(golden.clean());
-            std::vector<std::uint64_t> hashes;
-            const CheckpointRecorder rec =
-                recordCheckpoints(gpu, inst, golden, hashes);
+            const CheckpointRecorder rec = recordCheckpoints(gpu, inst, golden);
             ASSERT_EQ(rec.deltas.size(), 4u);
             EXPECT_EQ(rec.deltas.front().now, 0u);
 
@@ -179,7 +175,7 @@ TEST(Checkpoint, DeltaResumeReproducesGolden)
                 options.maxCycles = 4 * golden.stats.cycles;
                 if (hash_early_out) {
                     options.hashInterval = hashIntervalOf(golden);
-                    options.goldenHashes = &hashes;
+                    options.goldenHashes = &rec.hashes;
                 }
                 return gpu.run(inst.program, inst.launch, MemoryImage{},
                                options);
@@ -392,13 +388,11 @@ TEST(Checkpoint, DirtyPageHashMatchesFreshHash)
 }
 
 /**
- * Pinned fault-aware placement: the delta checkpoint cycles of a
- * 16-checkpoint pack on two full-size cells.  These are the cells where
- * a histogram that puts a cycle c in bucket c*B/g instead of the bucket
- * the boundaries k*g/B define (one short, at some boundaries) moves
- * checkpoints, so a placement rewrite that slips shows here.
+ * Pinned even placement: the delta checkpoint cycles of a 16-checkpoint
+ * pack on two full-size cells are golden*i/17, so a placement or
+ * recording change that moves a checkpoint shows here.
  */
-TEST(Checkpoint, FaultAwarePlacementPinned)
+TEST(Checkpoint, EvenPlacementPinned)
 {
     const struct
     {
@@ -408,12 +402,12 @@ TEST(Checkpoint, FaultAwarePlacementPinned)
     } kCells[] = {
         {GpuModel::HdRadeon7970,
          "histogram",
-         {0, 146, 288, 435, 582, 729, 876, 1022, 1169, 1316, 1463, 1610,
-          1757, 1903, 2050, 2197, 2349}},
+         {0, 147, 294, 442, 589, 737, 884, 1031, 1179, 1326, 1474, 1621,
+          1768, 1916, 2063, 2211, 2358}},
         {GpuModel::GeforceGtx480,
          "dwtHaar1D",
-         {0, 99, 192, 286, 379, 475, 569, 665, 761, 855, 948, 1044, 1138,
-          1234, 1330, 1430, 1536}},
+         {0, 96, 193, 290, 387, 484, 580, 677, 774, 871, 968, 1065, 1161,
+          1258, 1355, 1452, 1549}},
     };
     for (const auto& cell : kCells) {
         const GpuConfig& cfg = gpuConfig(cell.gpu);
@@ -425,6 +419,185 @@ TEST(Checkpoint, FaultAwarePlacementPinned)
             cycles.push_back(d.now);
         EXPECT_EQ(cycles, cell.cycles)
             << gpuShortName(cell.gpu) << "/" << cell.workload;
+    }
+}
+
+/**
+ * The budget is clamped, never trusted: on a run longer than the
+ * ceiling, the largest `unsigned` places exactly kMaxCheckpoints
+ * checkpoints (no endless loop, no n + 1 that wraps to 0), strictly
+ * ascending inside the run, and a zero budget records only the cycle-0
+ * delta.
+ */
+TEST(Checkpoint, BudgetIsClamped)
+{
+    const GpuConfig cfg = test::smallCudaConfig();
+    const WorkloadInstance inst = buildFor(cfg, "vectoradd");
+    FaultInjector injector(cfg, inst);
+
+    const auto pack =
+        injector.buildCheckpointPack(std::numeric_limits<unsigned>::max());
+    ASSERT_GT(pack->goldenCycles, kMaxCheckpoints + 1u);
+    EXPECT_EQ(pack->deltas.size(), std::size_t{kMaxCheckpoints} + 1);
+    EXPECT_EQ(pack->deltas.front().now, 0u);
+    for (std::size_t i = 1; i < pack->deltas.size(); ++i) {
+        EXPECT_GT(pack->deltas[i].now, pack->deltas[i - 1].now);
+        EXPECT_LT(pack->deltas[i].now, pack->goldenCycles);
+    }
+
+    const auto none = injector.buildCheckpointPack(0);
+    ASSERT_EQ(none->deltas.size(), 1u);
+    EXPECT_EQ(none->deltas.front().now, 0u);
+}
+
+/**
+ * A FaultWindowRecorder that also notes, per chip-global word of each
+ * structure with exact windows, the cycles of the events it saw.  A
+ * window opens at cycle 0 or just after a write and closes at a read,
+ * so observed() can change only at an event cycle c or at c + 1.
+ */
+class EventCycleLog : public FaultWindowRecorder
+{
+  public:
+    explicit EventCycleLog(const GpuConfig& config)
+        : FaultWindowRecorder(config), config_(config)
+    {
+    }
+
+    void
+    onRead(TargetStructure structure, SmId sm, std::uint32_t word,
+           Word value, Cycle cycle) override
+    {
+        FaultWindowRecorder::onRead(structure, sm, word, value, cycle);
+        note(structure, sm, word, cycle);
+    }
+
+    void
+    onWrite(TargetStructure structure, SmId sm, std::uint32_t word,
+            Cycle cycle) override
+    {
+        FaultWindowRecorder::onWrite(structure, sm, word, cycle);
+        note(structure, sm, word, cycle);
+    }
+
+    void
+    onAlloc(TargetStructure structure, SmId sm, std::uint32_t first,
+            std::uint32_t count, Cycle cycle) override
+    {
+        FaultWindowRecorder::onAlloc(structure, sm, first, count, cycle);
+        for (std::uint32_t w = first; w < first + count; ++w)
+            note(structure, sm, w, cycle);
+    }
+
+    /** Event cycles by (structure, chip-global word). */
+    std::map<std::pair<TargetStructure, std::uint64_t>, std::vector<Cycle>>
+        cycles;
+
+  private:
+    void
+    note(TargetStructure structure, SmId sm, std::uint32_t word, Cycle c)
+    {
+        const StructureSpec& spec = structureSpec(structure);
+        if (spec.exactDeadWindows)
+            cycles[{structure, sm * spec.aceUnitsPerSm(config_) + word}]
+                .push_back(c);
+    }
+
+    const GpuConfig& config_;
+};
+
+/**
+ * Recording checkpoints does not perturb the recording.  A pack's one
+ * recording run lands on every checkpoint cycle and encodes a delta
+ * there; its windows must answer like a FaultWindowRecorder's on a
+ * plain run, and its trajectory hashes must equal those of a recording
+ * run with no checkpoint cycles.  observed() is compared at every
+ * event cycle c and c + 1 of each word (the plain windows are constant
+ * in between) and at every checkpoint cycle, 0 included, of every word;
+ * stuckAgreeCycle() for every bit and forced value of every word of the
+ * read-overlay rows (no other row records residency: see
+ * FaultWindows.CacheRowsRecordNoResidency).
+ */
+TEST(Checkpoint, RecordingCheckpointsDoesNotPerturbTheRecording)
+{
+    const GpuConfig configs[] = {test::smallCudaConfig(),
+                                 test::smallSiConfig()};
+    for (const GpuConfig& cfg : configs) {
+        SCOPED_TRACE(cfg.name);
+        const WorkloadInstance inst = buildFor(cfg, "reduction");
+        Gpu gpu(cfg);
+        EventCycleLog log(cfg);
+        RunOptions plain;
+        plain.observer = &log;
+        const RunResult golden =
+            gpu.run(inst.program, inst.launch, inst.image, plain);
+        ASSERT_TRUE(golden.clean());
+        FaultWindows windows;
+        log.finalize(windows);
+
+        FaultInjector injector(cfg, inst);
+        injector.adoptGoldenCycles(golden.stats.cycles);
+        const auto pack = injector.buildCheckpointPack(kDefaultCheckpoints);
+        ASSERT_EQ(pack->deltas.size(), kDefaultCheckpoints + 1u);
+
+        CheckpointRecorder hashes_only;
+        RunOptions hashed;
+        hashed.recorder = &hashes_only;
+        hashed.hashInterval = pack->hashInterval;
+        ASSERT_TRUE(
+            gpu.run(inst.program, inst.launch, inst.image, hashed).clean());
+        EXPECT_FALSE(pack->hashes.empty());
+        EXPECT_EQ(pack->hashes, hashes_only.hashes);
+
+        // Count mismatches and report the first: a gtest assertion per
+        // query would dominate the run time.
+        std::size_t mismatches = 0;
+        std::string first;
+        const auto compare_observed = [&](TargetStructure structure,
+                                          std::uint64_t word, Cycle c) {
+            if (pack->windows.observed(structure, word, c) !=
+                    windows.observed(structure, word, c) &&
+                mismatches++ == 0) {
+                first = "observed() of " +
+                        std::string(targetStructureName(structure)) +
+                        " word " + std::to_string(word) + " at cycle " +
+                        std::to_string(c);
+            }
+        };
+        EXPECT_EQ(pack->windows.intervalCount(), windows.intervalCount());
+        for (const auto& [key, event_cycles] : log.cycles) {
+            for (Cycle e : event_cycles) {
+                compare_observed(key.first, key.second, e);
+                compare_observed(key.first, key.second, e + 1);
+            }
+        }
+        for (const StructureSpec& spec : structureRegistry()) {
+            if (!spec.exactDeadWindows)
+                continue;
+            const std::uint64_t words =
+                structureAceUnitsTotal(cfg, spec.id);
+            const bool residency = spec.persistenceHook ==
+                                   PersistenceHook::StorageReadOverlay;
+            for (std::uint64_t word = 0; word < words; ++word) {
+                for (const GpuCheckpointDelta& d : pack->deltas)
+                    compare_observed(spec.id, word, d.now);
+                for (unsigned bit = 0; residency && bit < 32; ++bit) {
+                    for (bool value : {false, true}) {
+                        if (pack->windows.stuckAgreeCycle(spec.id, word, bit,
+                                                          1, value) !=
+                                windows.stuckAgreeCycle(spec.id, word, bit,
+                                                        1, value) &&
+                            mismatches++ == 0) {
+                            first = "stuckAgreeCycle() of " +
+                                    std::string(targetStructureName(spec.id)) +
+                                    " word " + std::to_string(word) +
+                                    " bit " + std::to_string(bit);
+                        }
+                    }
+                }
+            }
+        }
+        EXPECT_EQ(mismatches, 0u) << "first: " << first;
     }
 }
 
