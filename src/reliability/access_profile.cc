@@ -22,10 +22,7 @@ AccessProfiler::AccessProfiler(const GpuConfig& config)
         if (units_per_sm == 0)
             continue;
         c.unitsPerSm = static_cast<std::uint32_t>(units_per_sm);
-        // Chip-scoped structures (the shared L2) report all events with
-        // sm == 0, so a single instance's worth of units suffices.
-        const std::uint64_t instances =
-            spec.scope == StructureScope::PerSm ? config.numSms : 1;
+        const std::uint64_t instances = structureInstances(config, spec.id);
         c.reads.assign(instances * units_per_sm, 0);
         c.writes.assign(instances * units_per_sm, 0);
     }

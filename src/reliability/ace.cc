@@ -23,17 +23,11 @@ AceAnalyzer::AceAnalyzer(const GpuConfig& config, AceMode mode)
     for (const StructureSpec& spec : structureRegistry()) {
         StructureTracker& t = trackers_[static_cast<std::size_t>(spec.id)];
         const std::uint64_t units_per_sm = spec.aceUnitsPerSm(config);
-        if (units_per_sm == 0)
-            continue; // structure absent on this chip
-        t.unitsPerSm = static_cast<std::uint32_t>(units_per_sm);
-        // Chip-scoped structures (the shared L2) report all events with
-        // sm == 0, so a single instance's worth of units suffices.
-        const std::uint64_t instances =
-            spec.scope == StructureScope::PerSm ? config.numSms : 1;
-        t.units.resize(instances * units_per_sm);
+        t.units = UnitTable<UnitState>(units_per_sm,
+                                       structureInstances(config, spec.id));
         if (spec.aceUnitBits) {
-            t.unitBits.resize(t.unitsPerSm);
-            for (std::uint32_t u = 0; u < t.unitsPerSm; ++u)
+            t.unitBits.resize(units_per_sm);
+            for (std::uint32_t u = 0; u < units_per_sm; ++u)
                 t.unitBits[u] = spec.aceUnitBits(config, u);
         }
     }
@@ -57,7 +51,8 @@ AceAnalyzer::tracker(TargetStructure structure) const
 }
 
 void
-AceAnalyzer::commit(StructureTracker& t, UnitState& u, Cycle upto)
+AceAnalyzer::commit(StructureTracker& t, std::size_t unit, UnitState& u,
+                    Cycle upto)
 {
     if (!u.allocated || !u.readSinceWrite)
         return;
@@ -67,9 +62,7 @@ AceAnalyzer::commit(StructureTracker& t, UnitState& u, Cycle upto)
         if (!t.unitBits.empty()) {
             // Nonuniform units: weight the interval by the unit's bit
             // count so the structure AVF bounds bit-uniform injection.
-            const auto index =
-                static_cast<std::size_t>(&u - t.units.data());
-            weight = t.unitBits[index % t.unitsPerSm];
+            weight = t.unitBits[unit % t.unitBits.size()];
         }
         t.aceCycles += (end - u.write) * weight;
     }
@@ -80,7 +73,7 @@ AceAnalyzer::onRead(TargetStructure structure, SmId sm, std::uint32_t word,
                     Word, Cycle cycle)
 {
     StructureTracker& t = tracker(structure);
-    UnitState& u = t.units[std::uint64_t{sm} * t.unitsPerSm + word];
+    UnitState& u = t.units[t.units.index(sm, word)];
     u.lastRead = cycle;
     u.readSinceWrite = true;
 }
@@ -90,8 +83,9 @@ AceAnalyzer::onWrite(TargetStructure structure, SmId sm, std::uint32_t word,
                      Cycle cycle)
 {
     StructureTracker& t = tracker(structure);
-    UnitState& u = t.units[std::uint64_t{sm} * t.unitsPerSm + word];
-    commit(t, u, cycle);
+    const std::size_t unit = t.units.index(sm, word);
+    UnitState& u = t.units[unit];
+    commit(t, unit, u, cycle);
     u.write = cycle;
     u.readSinceWrite = false;
 }
@@ -101,8 +95,8 @@ AceAnalyzer::onAlloc(TargetStructure structure, SmId sm,
                      std::uint32_t first, std::uint32_t count, Cycle cycle)
 {
     StructureTracker& t = tracker(structure);
-    const std::uint64_t base = std::uint64_t{sm} * t.unitsPerSm + first;
-    for (std::uint64_t i = 0; i < count; ++i) {
+    const std::size_t base = t.units.index(sm, first, count);
+    for (std::size_t i = 0; i < count; ++i) {
         UnitState& u = t.units[base + i];
         u.allocated = true;
         u.write = cycle; // contents architecturally undefined => new epoch
@@ -115,10 +109,10 @@ AceAnalyzer::onFree(TargetStructure structure, SmId sm, std::uint32_t first,
                     std::uint32_t count, Cycle cycle)
 {
     StructureTracker& t = tracker(structure);
-    const std::uint64_t base = std::uint64_t{sm} * t.unitsPerSm + first;
-    for (std::uint64_t i = 0; i < count; ++i) {
+    const std::size_t base = t.units.index(sm, first, count);
+    for (std::size_t i = 0; i < count; ++i) {
         UnitState& u = t.units[base + i];
-        commit(t, u, cycle);
+        commit(t, base + i, u, cycle);
         u.allocated = false;
         u.readSinceWrite = false;
     }
@@ -127,12 +121,13 @@ AceAnalyzer::onFree(TargetStructure structure, SmId sm, std::uint32_t first,
 void
 AceAnalyzer::onKernelEnd(Cycle cycle)
 {
+    // Untouched units were never allocated: nothing to commit there.
     for (StructureTracker& t : trackers_) {
-        for (UnitState& u : t.units) {
-            commit(t, u, cycle);
+        t.units.forEachTouched([&](std::size_t unit, UnitState& u) {
+            commit(t, unit, u, cycle);
             u.allocated = false;
             u.readSinceWrite = false;
-        }
+        });
     }
 }
 

@@ -30,6 +30,7 @@
 #include <vector>
 
 #include "arch/gpu_config.hh"
+#include "reliability/unit_table.hh"
 #include "sim/observer.hh"
 #include "sim/stats.hh"
 #include "sim/structure_registry.hh"
@@ -87,6 +88,12 @@ struct AceResult
 /**
  * The SimObserver that performs lifetime accounting.  Exposed so tests
  * can drive it directly with synthetic event streams.
+ *
+ * Each structure keeps one UnitState per chip-global unit in a
+ * UnitTable, allocated in blocks on a block's first event, so building
+ * the analyzer and the sweep at onKernelEnd() cost only the blocks the
+ * kernel touched, not the whole chip.  An event outside the structure
+ * fails an assertion.
  */
 class AceAnalyzer : public SimObserver
 {
@@ -117,17 +124,19 @@ class AceAnalyzer : public SimObserver
 
     struct StructureTracker
     {
-        std::vector<UnitState> units; ///< numSms * unitsPerSm
-        /** Per-unit bit weights (unitsPerSm entries, repeated per SM);
-         *  empty = uniform units, weight 1. */
+        UnitTable<UnitState> units; ///< one state per chip-global unit
+        /** Per-unit bit weights (one instance's units, repeated per
+         *  SM); empty = uniform units, weight 1. */
         std::vector<std::uint32_t> unitBits;
-        std::uint32_t unitsPerSm = 0;
         std::uint64_t aceCycles = 0;
     };
 
     StructureTracker& tracker(TargetStructure structure);
     const StructureTracker& tracker(TargetStructure structure) const;
-    void commit(StructureTracker& t, UnitState& u, Cycle upto);
+    /** Close the open interval of chip-global unit @p unit (state
+     *  @p u) at @p upto. */
+    void commit(StructureTracker& t, std::size_t unit, UnitState& u,
+                Cycle upto);
 
     AceMode mode_;
     /** One tracker per registered structure, in registry order. */

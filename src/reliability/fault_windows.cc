@@ -95,30 +95,9 @@ FaultWindowRecorder::FaultWindowRecorder(const GpuConfig& config)
         t.allocWrites = spec.kind == StructureKind::CacheArray;
         t.residency =
             spec.persistenceHook == PersistenceHook::StorageReadOverlay;
-        t.wordsPerSm =
-            static_cast<std::uint32_t>(spec.aceUnitsPerSm(config));
-        t.words = static_cast<std::size_t>(
-            structureAceUnitsTotal(config, spec.id));
-        t.blocks.resize((t.words + kBlockWords - 1) / kBlockWords);
+        t.words = UnitTable<WordState>(spec.aceUnitsPerSm(config),
+                                       structureInstances(config, spec.id));
     }
-}
-
-std::size_t
-FaultWindowRecorder::chipWord(const Tracker& t, SmId sm, std::uint32_t word)
-{
-    const std::size_t w =
-        static_cast<std::size_t>(sm) * t.wordsPerSm + word;
-    GPR_ASSERT(w < t.words, "observer word out of range");
-    return w;
-}
-
-FaultWindowRecorder::WordState&
-FaultWindowRecorder::wordState(Tracker& t, std::size_t w)
-{
-    std::unique_ptr<WordState[]>& block = t.blocks[w >> kBlockBits];
-    if (!block)
-        block = std::make_unique<WordState[]>(kBlockWords);
-    return block[w & (kBlockWords - 1)];
 }
 
 void
@@ -130,8 +109,8 @@ FaultWindowRecorder::onRead(TargetStructure structure, SmId sm,
     // recording (this also keeps log indices within 32 bits).
     if (!t.tracked || total_intervals_ > kMaxIntervals)
         return;
-    const std::size_t w = chipWord(t, sm, word);
-    WordState& state = wordState(t, w);
+    const std::size_t w = t.words.index(sm, word);
+    WordState& state = t.words[w];
     FaultWindows::Interval* newest =
         state.newest == kNoInterval ? nullptr : &t.log[state.newest].interval;
     if (newest != nullptr && state.lastWrite <= newest->end + 1) {
@@ -188,7 +167,7 @@ FaultWindowRecorder::onWrite(TargetStructure structure, SmId sm,
     // A flip lands at a cycle *start*; a write lands mid-cycle and
     // erases any flip from the same cycle, so observability windows
     // opened by later reads begin the following cycle.
-    wordState(t, chipWord(t, sm, word)).lastWrite = cycle + 1;
+    t.words[t.words.index(sm, word)].lastWrite = cycle + 1;
 }
 
 void
@@ -202,10 +181,9 @@ FaultWindowRecorder::onAlloc(TargetStructure structure, SmId sm,
     Tracker& t = tracker(structure);
     if (!t.allocWrites)
         return;
-    const std::size_t base = chipWord(t, sm, first);
-    GPR_ASSERT(base + count <= t.words, "observer word out of range");
+    const std::size_t base = t.words.index(sm, first, count);
     for (std::uint32_t i = 0; i < count; ++i)
-        wordState(t, base + i).lastWrite = cycle + 1;
+        t.words[base + i].lastWrite = cycle + 1;
 }
 
 void
@@ -224,13 +202,14 @@ FaultWindowRecorder::finalize(FaultWindows& out)
         // positions, then place the log in order, bumping offsets[word
         // + 1] as the word's cursor: it ends at the word's end, which
         // is the next word's start.
-        w.offsets.assign(t.words + 1, 0);
+        const std::size_t words = t.words.size();
+        w.offsets.assign(words + 1, 0);
         for (const auto& chunk : t.log.chunks()) {
             for (const LogEntry& e : chunk)
                 ++w.offsets[e.word + 1];
         }
         std::uint64_t start = 0;
-        for (std::size_t i = 1; i <= t.words; ++i) {
+        for (std::size_t i = 1; i <= words; ++i) {
             const std::uint64_t count = w.offsets[i];
             w.offsets[i] = start;
             start += count;
@@ -249,15 +228,10 @@ FaultWindowRecorder::finalize(FaultWindows& out)
             t = Tracker{};
             continue;
         }
-        w.residencySlot.assign(t.words, FaultWindows::kResidencyNeverRead);
-        for (std::size_t b = 0; b < t.blocks.size(); ++b) {
-            if (!t.blocks[b])
-                continue;
-            const std::size_t first = b * kBlockWords;
-            const std::size_t n = std::min(kBlockWords, t.words - first);
-            for (std::size_t i = 0; i < n; ++i)
-                w.residencySlot[first + i] = t.blocks[b][i].slot;
-        }
+        w.residencySlot.assign(words, FaultWindows::kResidencyNeverRead);
+        t.words.forEachTouched([&](std::size_t i, const WordState& state) {
+            w.residencySlot[i] = state.slot;
+        });
         w.agreeFrom.resize(t.slots.size() * 64);
         std::uint32_t* base = w.agreeFrom.data();
         for (const auto& chunk : t.slots.chunks()) {

@@ -69,10 +69,10 @@
 
 #include <array>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "arch/gpu_config.hh"
+#include "reliability/unit_table.hh"
 #include "sim/observer.hh"
 #include "sim/structure_registry.hh"
 
@@ -166,8 +166,8 @@ class FaultWindows
  * event.  Each tracked structure keeps
  *  - one WordState per chip word (defining write, newest interval,
  *    residency slot), so an event touches one cache line of per-word
- *    state.  States live in blocks allocated on a block's first event,
- *    so words the run never touches cost nothing;
+ *    state.  States live in a UnitTable, allocated in blocks on a
+ *    block's first event, so words the run never touches cost nothing;
  *  - one append-only log of (word, interval) entries;
  *  - one ResidencySlot per word read so far, up to a chip-wide cap
  *    (read-overlay structures only, see the file comment).
@@ -208,10 +208,6 @@ class FaultWindowRecorder : public SimObserver
   private:
     /** WordState::newest of a word without intervals. */
     static constexpr std::uint32_t kNoInterval = 0xFFFFFFFFu;
-    /** Words per WordState block (a power of two). */
-    static constexpr unsigned kBlockBits = 8;
-    static constexpr std::size_t kBlockWords = std::size_t{1}
-                                               << kBlockBits;
 
     /** Append-only storage in chunks of 2^12 elements: growth never
      *  moves or copies what is stored. */
@@ -282,10 +278,7 @@ class FaultWindowRecorder : public SimObserver
         bool allocWrites = false;
         /** Read-overlay persistence: record value residency slots. */
         bool residency = false;
-        std::uint32_t wordsPerSm = 0; ///< per instance
-        std::size_t words = 0;        ///< chip-wide
-        /** kBlockWords states per block; null until first touched. */
-        std::vector<std::unique_ptr<WordState[]>> blocks;
+        UnitTable<WordState> words; ///< one state per chip word
         Chunked<LogEntry> log;
         Chunked<ResidencySlot> slots;
     };
@@ -294,14 +287,6 @@ class FaultWindowRecorder : public SimObserver
     {
         return trackers_[static_cast<std::size_t>(s)];
     }
-
-    /** Chip-global word of instance-relative @p word. */
-    static std::size_t chipWord(const Tracker& t, SmId sm,
-                                std::uint32_t word);
-
-    /** The state of chip-global word @p w of @p t, allocating its
-     *  block on first touch. */
-    static WordState& wordState(Tracker& t, std::size_t w);
 
     std::array<Tracker, kNumTargetStructures> trackers_;
     std::size_t total_intervals_ = 0;

@@ -25,10 +25,18 @@ SmCore::SmCore(const GpuConfig& config, SmId id)
                      config.l1iLinesPerSm(), config.cacheLineWords());
     }
 
+    // The execute paths keep per-lane and per-bank scratch in
+    // fixed-capacity arrays sized by the LaneMask width.
+    GPR_ASSERT(config.warpWidth <= kMaxLanes,
+               "warpWidth exceeds the ", kMaxLanes, " lanes of a LaneMask");
+    GPR_ASSERT(config.smemBanks > 0 && config.smemBanks <= kMaxLanes,
+               "smemBanks must lie in [1, ", kMaxLanes, "]");
+
     blocks_.resize(config.maxBlocksPerSm);
     warps_.resize(config.maxWarpsPerSm);
     warp_slot_used_.assign(config.maxWarpsPerSm, false);
     warp_age_.assign(config.maxWarpsPerSm, 0);
+    issue_cycle_.assign(config.maxWarpsPerSm, kNeverIssues);
 }
 
 void
@@ -59,12 +67,14 @@ SmCore::reset()
     dispatch_seq_ = 0;
     rr_cursor_ = 0;
     gto_last_ = -1;
+    invalidateIssue();
 }
 
 void
 SmCore::applyFault(TargetStructure structure, BitIndex first_bit,
                    std::uint64_t mask)
 {
+    wake_cycle_ = 0;
     for (unsigned k = 0; (mask >> k) != 0; ++k) {
         if ((mask >> k) & 1)
             mutateBit(structure, first_bit + k, BitMutation::Flip);
@@ -112,6 +122,7 @@ SmCore::persistentFaultTick(bool active)
 {
     if (!pfault_)
         return;
+    wake_cycle_ = 0;
     const StructureSpec& spec = structureSpec(pfault_->structure);
     if (spec.persistenceHook == PersistenceHook::StorageReadOverlay) {
         storageFor(pfault_->structure).setStuckEnabled(active);
@@ -217,7 +228,9 @@ SmCore::mutateBit(TargetStructure structure, BitIndex bit, BitMutation mut)
                    "SIMT-stack fault bit out of range");
         WarpContext& w = warps_[slot];
         if (rem < 32) {
+            // The pc selects the instruction whose registers gate issue.
             mut_u32(w.pc, static_cast<unsigned>(rem));
+            invalidateIssue();
             return;
         }
         rem -= 32;
@@ -333,6 +346,7 @@ SmCore::restoreControl(const ControlState& c)
     dispatch_seq_ = c.dispatchSeq;
     rr_cursor_ = c.rrCursor;
     gto_last_ = c.gtoLast;
+    invalidateIssue();
 }
 
 void
@@ -557,10 +571,12 @@ SmCore::tryDispatchBlock(RunContext& ctx, std::uint32_t block_id, Cycle now)
 
         block.warpSlots.push_back(static_cast<std::uint32_t>(wslot));
         ++block.liveWarps;
+        refreshIssueCycle(*ctx.program, static_cast<std::uint32_t>(wslot));
     }
 
     resident_warps_ += warps_needed;
     ++resident_blocks_;
+    wake_cycle_ = 0;
     return true;
 }
 
@@ -667,22 +683,19 @@ SmCore::writeVReg(RunContext& ctx, const WarpContext& w, RegIndex r,
     }
 }
 
-bool
-SmCore::canIssue(const RunContext& ctx, const WarpContext& w, Cycle now,
-                 Cycle& stall_until) const
+Cycle
+SmCore::issueCycle(const Program& prog, std::uint32_t slot) const
 {
-    if (w.pc >= ctx.program->size()) {
-        // Fault-corrupted PC: issue immediately so executeInstruction
-        // can raise the InvalidControlFlow trap.
-        if (w.readyCycle > now) {
-            stall_until = w.readyCycle;
-            return false;
-        }
-        return true;
-    }
+    const WarpContext& w = warps_[slot];
+    if (!warp_slot_used_[slot] || w.status != WarpStatus::Ready)
+        return kNeverIssues;
+    // A fault-corrupted PC issues as soon as the issue slot frees, so
+    // executeInstruction can raise the InvalidControlFlow trap.
+    if (w.pc >= prog.size())
+        return w.readyCycle;
 
     Cycle blocked = w.readyCycle;
-    const Instruction& inst = ctx.program->inst(w.pc);
+    const Instruction& inst = prog.inst(w.pc);
     const OpTraits& t = inst.traits();
 
     auto track_reg = [&](const Operand& op) {
@@ -704,12 +717,7 @@ SmCore::canIssue(const RunContext& ctx, const WarpContext& w, Cycle now,
         blocked = std::max(blocked, w.predReady[inst.predDst]);
     if (t.readsPredSrc)
         blocked = std::max(blocked, w.predReady[inst.predSrc]);
-
-    if (blocked > now) {
-        stall_until = blocked;
-        return false;
-    }
-    return true;
+    return blocked;
 }
 
 void
@@ -786,6 +794,7 @@ SmCore::releaseBarrierIfReady(RunContext& ctx, BlockContext& block,
         if (w.status == WarpStatus::AtBarrier) {
             w.status = WarpStatus::Ready;
             w.readyCycle = now + 1;
+            refreshIssueCycle(*ctx.program, slot);
         }
     }
     block.barrierArrived = 0;
@@ -852,7 +861,7 @@ SmCore::executeInstruction(RunContext& ctx, WarpContext& w, Cycle now)
     // Fetch through the L1i: fault-free, the identity-mapped line
     // returns the PC itself; an L1i tag/data fault redirects the fetch
     // to a different instruction index (wrong-opcode execution) or past
-    // the program (trap).  The scoreboard in canIssue still consults
+    // the program (trap).  The scoreboard in issueCycle still consults
     // the raw w.pc — a deliberate modeling simplification: fetch
     // corruption changes what executes, not when it issues.
     std::uint32_t fetch_pc = w.pc;
@@ -1181,9 +1190,8 @@ SmCore::executeInstruction(RunContext& ctx, WarpContext& w, Cycle now)
 
         // Gather addresses, bounds-check, count 128-byte segments.
         std::optional<TrapKind> trap;
-        std::uint64_t seg_bits_lo = 0; // cheap small-set: segment ids hash
-        std::vector<std::uint64_t> segments;
-        segments.reserve(8);
+        std::array<std::uint64_t, kMaxLanes> segments;
+        unsigned num_segments = 0;
         std::uint32_t lane_ops = 0;
 
         for_each_lane(exec, [&](unsigned lane) {
@@ -1208,11 +1216,11 @@ SmCore::executeInstruction(RunContext& ctx, WarpContext& w, Cycle now)
                 return;
             }
             const std::uint64_t seg = addr >> 7;
-            if (std::find(segments.begin(), segments.end(), seg) ==
-                segments.end()) {
-                segments.push_back(seg);
+            const auto segments_end = segments.begin() + num_segments;
+            if (std::find(segments.begin(), segments_end, seg) ==
+                segments_end) {
+                segments[num_segments++] = seg;
             }
-            (void)seg_bits_lo;
 
             // Data path: through the L1d/L2 hierarchy when modeled
             // (functional only — the segment/pipe timing above is
@@ -1284,9 +1292,7 @@ SmCore::executeInstruction(RunContext& ctx, WarpContext& w, Cycle now)
             return trap;
 
         // Timing: the chip-wide pipe serialises transactions.
-        const std::uint64_t txns =
-            is_atomic ? lane_ops
-                      : static_cast<std::uint64_t>(segments.size());
+        const std::uint64_t txns = is_atomic ? lane_ops : num_segments;
         if (txns > 0) {
             const Cycle start = std::max(now, ctx.memPipe.nextFree);
             ctx.memPipe.nextFree =
@@ -1321,8 +1327,8 @@ SmCore::executeInstruction(RunContext& ctx, WarpContext& w, Cycle now)
         std::optional<TrapKind> trap;
         // Bank-conflict model: count accesses per bank; the replay factor
         // is the worst bank's distinct-word count.
-        std::vector<std::uint32_t> bank_words;
-        bank_words.reserve(config_.warpWidth);
+        std::array<std::uint32_t, kMaxLanes> bank_words;
+        unsigned num_words = 0;
         std::uint32_t lane_ops = 0;
 
         for_each_lane(exec, [&](unsigned lane) {
@@ -1338,9 +1344,10 @@ SmCore::executeInstruction(RunContext& ctx, WarpContext& w, Cycle now)
                 return;
             }
             const std::uint32_t idx = block.ldsBase + word;
-            if (std::find(bank_words.begin(), bank_words.end(), word) ==
-                bank_words.end()) {
-                bank_words.push_back(word);
+            const auto words_end = bank_words.begin() + num_words;
+            if (std::find(bank_words.begin(), words_end, word) ==
+                words_end) {
+                bank_words[num_words++] = word;
             }
 
             if (is_load) {
@@ -1373,15 +1380,13 @@ SmCore::executeInstruction(RunContext& ctx, WarpContext& w, Cycle now)
         if (trap)
             return trap;
 
-        // Replay factor: distinct words per bank.
-        std::uint32_t replay = 1;
-        if (!bank_words.empty()) {
-            std::vector<std::uint32_t> per_bank(config_.smemBanks, 0);
-            for (std::uint32_t word : bank_words)
-                ++per_bank[word % config_.smemBanks];
-            replay = *std::max_element(per_bank.begin(), per_bank.end());
-            replay = std::max(replay, 1u);
-        }
+        // Replay factor: distinct words per bank (1 with no access).
+        std::array<std::uint32_t, kMaxLanes> per_bank{};
+        for (unsigned i = 0; i < num_words; ++i)
+            ++per_bank[bank_words[i] % config_.smemBanks];
+        const std::uint32_t replay = std::max(
+            1u, *std::max_element(per_bank.begin(),
+                                  per_bank.begin() + config_.smemBanks));
         const Cycle extra =
             is_atomic ? (lane_ops > 0 ? lane_ops - 1 : 0) : (replay - 1);
         if (is_load)
@@ -1400,59 +1405,38 @@ SmCore::executeInstruction(RunContext& ctx, WarpContext& w, Cycle now)
 }
 
 std::int32_t
-SmCore::pickWarpRoundRobin(const RunContext& ctx, Cycle now,
-                           Cycle& next_event)
+SmCore::pickWarpRoundRobin(Cycle now, Cycle& earliest)
 {
-    const std::uint32_t n = static_cast<std::uint32_t>(warps_.size());
+    const auto n = static_cast<std::uint32_t>(issue_cycle_.size());
     for (std::uint32_t probe = 0; probe < n; ++probe) {
         const std::uint32_t slot = (rr_cursor_ + 1 + probe) % n;
-        if (!warp_slot_used_[slot])
-            continue;
-        const WarpContext& w = warps_[slot];
-        if (w.status != WarpStatus::Ready)
-            continue;
-        Cycle stall = 0;
-        if (canIssue(ctx, w, now, stall)) {
+        const Cycle at = issue_cycle_[slot];
+        if (at <= now) {
             rr_cursor_ = slot;
             return static_cast<std::int32_t>(slot);
         }
-        next_event = std::min(next_event, stall);
+        earliest = std::min(earliest, at);
     }
     return -1;
 }
 
 std::int32_t
-SmCore::pickWarpGto(const RunContext& ctx, Cycle now, Cycle& next_event)
+SmCore::pickWarpGto(Cycle now, Cycle& earliest)
 {
     // Greedy: stick with the last issued warp while it can issue.
     if (gto_last_ >= 0 &&
-        warp_slot_used_[static_cast<std::uint32_t>(gto_last_)]) {
-        const WarpContext& w =
-            warps_[static_cast<std::uint32_t>(gto_last_)];
-        if (w.status == WarpStatus::Ready) {
-            Cycle stall = 0;
-            if (canIssue(ctx, w, now, stall))
-                return gto_last_;
-            next_event = std::min(next_event, stall);
-        }
-    }
+        issue_cycle_[static_cast<std::uint32_t>(gto_last_)] <= now)
+        return gto_last_;
     // Then oldest (smallest dispatch sequence number).
     std::int32_t best = -1;
     std::uint64_t best_age = ~std::uint64_t{0};
-    for (std::uint32_t slot = 0; slot < warps_.size(); ++slot) {
-        if (!warp_slot_used_[slot])
-            continue;
-        const WarpContext& w = warps_[slot];
-        if (w.status != WarpStatus::Ready)
-            continue;
-        Cycle stall = 0;
-        if (canIssue(ctx, w, now, stall)) {
-            if (warp_age_[slot] < best_age) {
-                best_age = warp_age_[slot];
-                best = static_cast<std::int32_t>(slot);
-            }
-        } else {
-            next_event = std::min(next_event, stall);
+    for (std::uint32_t slot = 0; slot < issue_cycle_.size(); ++slot) {
+        const Cycle at = issue_cycle_[slot];
+        if (at > now) {
+            earliest = std::min(earliest, at);
+        } else if (warp_age_[slot] < best_age) {
+            best_age = warp_age_[slot];
+            best = static_cast<std::int32_t>(slot);
         }
     }
     if (best >= 0)
@@ -1466,19 +1450,34 @@ SmCore::stepCycle(RunContext& ctx, Cycle now, bool& issued_any,
 {
     if (resident_blocks_ == 0)
         return std::nullopt;
+    if (issue_stale_) {
+        for (std::uint32_t slot = 0; slot < warps_.size(); ++slot)
+            refreshIssueCycle(*ctx.program, slot);
+        issue_stale_ = false;
+    }
+    if (now < wake_cycle_) {
+        next_event = std::min(next_event, wake_cycle_);
+        return std::nullopt;
+    }
 
     for (std::uint32_t slot_issue = 0; slot_issue < config_.issueWidth;
          ++slot_issue) {
-        std::int32_t pick =
+        Cycle earliest = kNeverIssues;
+        const std::int32_t pick =
             config_.scheduler == SchedulerKind::GreedyThenOldest
-                ? pickWarpGto(ctx, now, next_event)
-                : pickWarpRoundRobin(ctx, now, next_event);
-        if (pick < 0)
+                ? pickWarpGto(now, earliest)
+                : pickWarpRoundRobin(now, earliest);
+        if (pick < 0) {
+            // Every warp was probed: sleep until the first can issue.
+            wake_cycle_ = earliest;
+            next_event = std::min(next_event, earliest);
             break;
-        WarpContext& w = warps_[static_cast<std::uint32_t>(pick)];
-        const auto trap = executeInstruction(ctx, w, now);
+        }
+        const auto slot = static_cast<std::uint32_t>(pick);
+        const auto trap = executeInstruction(ctx, warps_[slot], now);
         if (trap)
             return trap;
+        refreshIssueCycle(*ctx.program, slot);
         issued_any = true;
     }
     return std::nullopt;

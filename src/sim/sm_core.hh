@@ -8,6 +8,10 @@
  * "GPGPU-Sim-lite": in-order issue per warp with a register scoreboard,
  * configurable latencies per functional category, shared-memory bank
  * conflicts and a chip-level global-memory bandwidth pipe.
+ *
+ * Issue is event-driven.  Each warp's earliest issue cycle is cached
+ * and re-derived only when one of its inputs changes, and an SM with
+ * nothing to issue sleeps until the earliest of them (see stepCycle()).
  */
 
 #ifndef GPR_SIM_SM_CORE_HH
@@ -101,6 +105,13 @@ class SmCore
      * @p issued_any is set if at least one instruction issued;
      * @p next_event is lowered to the earliest cycle any stalled warp
      * could issue.  Returns a trap if execution faulted.
+     *
+     * The pickers compare cached issue cycles (issueCycle()) instead of
+     * probing each warp's scoreboard.  When nothing can issue, the SM
+     * sleeps until the earliest cached cycle: until then stepCycle only
+     * lowers @p next_event.  Nothing but this SM's own issue, block
+     * dispatch, a fault, reset() or a restore can move that cycle, and
+     * each of them wakes the SM.
      */
     std::optional<TrapKind> stepCycle(RunContext& ctx, Cycle now,
                                       bool& issued_any, Cycle& next_event);
@@ -253,9 +264,34 @@ class SmCore
     WordStorage& storageFor(TargetStructure structure);
 
     // --- Issue & execution -----------------------------------------------
-    /** Can warp @p w issue at @p now?  If not, raises @p stall_until. */
-    bool canIssue(const RunContext& ctx, const WarpContext& w, Cycle now,
-                  Cycle& stall_until) const;
+    /** issueCycle() of a warp that cannot issue until an event. */
+    static constexpr Cycle kNeverIssues = ~Cycle{0};
+
+    /**
+     * Earliest cycle warp slot @p slot can issue: the later of its issue
+     * slot (readyCycle) and the scoreboard entries of the instruction at
+     * its pc.  kNeverIssues for an unused slot or a warp that is not
+     * Ready.  Only the warp's own issue, its dispatch, its barrier
+     * release and a SIMT-stack fault (a pc bit selects another
+     * instruction) change these inputs.
+     */
+    Cycle issueCycle(const Program& prog, std::uint32_t slot) const;
+
+    /** Re-derive issue_cycle_[@p slot] after one of its inputs changed. */
+    void
+    refreshIssueCycle(const Program& prog, std::uint32_t slot)
+    {
+        issue_cycle_[slot] = issueCycle(prog, slot);
+    }
+
+    /** Drop every cached issue cycle and wake the SM: the next step
+     *  re-derives them from the warp state. */
+    void
+    invalidateIssue()
+    {
+        issue_stale_ = true;
+        wake_cycle_ = 0;
+    }
 
     std::optional<TrapKind> executeInstruction(RunContext& ctx,
                                                WarpContext& w, Cycle now);
@@ -290,11 +326,10 @@ class SmCore
                                Cycle now);
     void completeBlock(RunContext& ctx, BlockContext& block, Cycle now);
 
-    // Scheduling.
-    std::int32_t pickWarpRoundRobin(const RunContext& ctx, Cycle now,
-                                    Cycle& next_event);
-    std::int32_t pickWarpGto(const RunContext& ctx, Cycle now,
-                             Cycle& next_event);
+    // Scheduling: the slot to issue at @p now, or -1 with @p earliest
+    // lowered to the earliest issue cycle of every warp.
+    std::int32_t pickWarpRoundRobin(Cycle now, Cycle& earliest);
+    std::int32_t pickWarpGto(Cycle now, Cycle& earliest);
 
     const GpuConfig& config_;
     SmId id_;
@@ -320,6 +355,15 @@ class SmCore
 
     // Bound persistent fault (run-loop state; never checkpointed).
     std::optional<PersistentFault> pfault_;
+
+    // Event-driven issue: state derived from the warps, so it is never
+    // hashed, checkpointed or counted in pack bytes.
+    /** Per warp slot: issueCycle() as of its inputs' last change. */
+    std::vector<Cycle> issue_cycle_;
+    /** issue_cycle_ must be re-derived before the next step. */
+    bool issue_stale_ = true;
+    /** No warp can issue before this cycle (see stepCycle()). */
+    Cycle wake_cycle_ = 0;
 };
 
 /**

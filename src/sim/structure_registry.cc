@@ -262,12 +262,17 @@ targetStructureFromName(std::string_view name)
 }
 
 std::uint64_t
+structureInstances(const GpuConfig& config, TargetStructure id)
+{
+    return structureSpec(id).scope == StructureScope::PerSm ? config.numSms
+                                                             : 1;
+}
+
+std::uint64_t
 structureBitsTotal(const GpuConfig& config, TargetStructure id)
 {
-    const StructureSpec& spec = structureSpec(id);
-    const std::uint64_t instances =
-        spec.scope == StructureScope::PerSm ? config.numSms : 1;
-    return spec.bitsPerSm(config) * instances;
+    return structureSpec(id).bitsPerSm(config) *
+           structureInstances(config, id);
 }
 
 bool
@@ -302,10 +307,8 @@ selectStructures(const GpuConfig& config, bool uses_local_memory,
 std::uint64_t
 structureAceUnitsTotal(const GpuConfig& config, TargetStructure id)
 {
-    const StructureSpec& spec = structureSpec(id);
-    const std::uint64_t instances =
-        spec.scope == StructureScope::PerSm ? config.numSms : 1;
-    return spec.aceUnitsPerSm(config) * instances;
+    return structureSpec(id).aceUnitsPerSm(config) *
+           structureInstances(config, id);
 }
 
 } // namespace gpr

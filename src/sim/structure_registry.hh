@@ -237,6 +237,11 @@ structureEntry(const std::vector<T>& entries, TargetStructure s,
     return entries[index];
 }
 
+/** Instances of @p id on @p config: one per SM, or one for a
+ *  chip-scoped structure (whose events all name SM 0). */
+std::uint64_t structureInstances(const GpuConfig& config,
+                                 TargetStructure id);
+
 /** Chip-wide ACE units of @p id on @p config. */
 std::uint64_t structureAceUnitsTotal(const GpuConfig& config,
                                      TargetStructure id);

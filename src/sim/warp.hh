@@ -17,8 +17,11 @@
 
 namespace gpr {
 
-/** Lane-set within a warp; bit i = lane i (warpWidth <= 64). */
+/** Lane-set within a warp; bit i = lane i (warpWidth <= kMaxLanes). */
 using LaneMask = std::uint64_t;
+
+/** Lanes a LaneMask holds: the widest warp the simulator models. */
+constexpr unsigned kMaxLanes = 64;
 
 constexpr LaneMask
 fullMask(unsigned lanes)

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "reliability/ace.hh"
 #include "sim_test_util.hh"
 #include "workloads/workloads.hh"
@@ -96,6 +98,108 @@ TEST_F(AceSynthetic, SmIndexingSeparatesInstances)
     ace.onKernelEnd(60);
     // Only SM1's alloc-to-read interval counts: [0, 40].
     EXPECT_EQ(ace.aceUnitCycles(kRf), 40u);
+}
+
+/**
+ * Bit weights of the first and the last unit of one instance of @p s,
+ * worked out from the registry's unit layouts: a SIMT instance starts
+ * with warp slot 0's PC + active/exited masks and ends with the last
+ * slot's last (kind, pc, mask) stack entry; a cache starts with line
+ * 0's tag/valid/dirty group and ends with the last line's last data
+ * word; every other unit weighs 1.
+ */
+std::pair<std::uint64_t, std::uint64_t>
+edgeUnitBits(TargetStructure s, std::uint64_t warp_width)
+{
+    switch (s) {
+      case TargetStructure::SimtStack:
+        return {32 + 2 * warp_width, 1 + 32 + warp_width};
+      case TargetStructure::L1DataCache:
+      case TargetStructure::L1InstructionCache:
+      case TargetStructure::L2Cache:
+        return {34, 32};
+      default:
+        return {1, 1};
+    }
+}
+
+/**
+ * The first and last unit of the first and last instance of every
+ * structure on two full-size chips: units at the edges of the analyzer's
+ * first-touch blocks (a partial last block included) and of the
+ * chip-scoped L2, whose events all name SM 0.  Each unit runs alloc,
+ * write, two reads, free and kernel end, interleaved with the others'
+ * at its own cycles, so two units that shared state would miscount.
+ */
+TEST(AceUnitTable, EdgeUnitsOfEveryStructure)
+{
+    struct Probe
+    {
+        SmId sm;
+        std::uint32_t unit;
+        std::uint64_t bits;
+    };
+    for (GpuModel model :
+         {GpuModel::HdRadeon7970, GpuModel::GeforceGtx480}) {
+        const GpuConfig& cfg = gpuConfig(model);
+        for (const StructureSpec& spec : structureRegistry()) {
+            SCOPED_TRACE(std::string(spec.shortName) + " on " + cfg.name);
+            const auto units =
+                static_cast<std::uint32_t>(spec.aceUnitsPerSm(cfg));
+            const auto instances =
+                static_cast<SmId>(structureInstances(cfg, spec.id));
+            if (units == 0) {
+                // Absent on this chip: every event is out of range.
+                AceAnalyzer ace(cfg, AceMode::Standard);
+                EXPECT_THROW(ace.onRead(spec.id, 0, 0, 0, 1), PanicError);
+                continue;
+            }
+            const auto [first_bits, last_bits] =
+                edgeUnitBits(spec.id, cfg.warpWidth);
+            std::vector<Probe> probes = {{0, 0, first_bits},
+                                         {0, units - 1, last_bits}};
+            if (instances > 1) {
+                probes.push_back({instances - 1, 0, first_bits});
+                probes.push_back({instances - 1, units - 1, last_bits});
+            }
+
+            for (AceMode mode : {AceMode::Standard, AceMode::Conservative}) {
+                AceAnalyzer ace(cfg, mode);
+                std::uint64_t expected = 0;
+                for (const Probe& p : probes)
+                    ace.onAlloc(spec.id, p.sm, p.unit, 1, 1);
+                for (std::uint32_t k = 0; k < probes.size(); ++k)
+                    ace.onWrite(spec.id, probes[k].sm, probes[k].unit, 2 + k);
+                for (std::uint32_t k = 0; k < probes.size(); ++k)
+                    ace.onRead(spec.id, probes[k].sm, probes[k].unit, 0,
+                               10 + k);
+                for (std::uint32_t k = 0; k < probes.size(); ++k)
+                    ace.onRead(spec.id, probes[k].sm, probes[k].unit, 0,
+                               20 + 3 * k);
+                for (std::uint32_t k = 0; k < probes.size(); ++k) {
+                    ace.onFree(spec.id, probes[k].sm, probes[k].unit, 1,
+                               40 + 5 * k);
+                    // Standard: write to last read; Conservative: write
+                    // to free.
+                    const std::uint64_t cycles =
+                        mode == AceMode::Standard ? 18 + 2 * k : 38 + 4 * k;
+                    expected += cycles * probes[k].bits;
+                }
+                ace.onKernelEnd(100);
+                EXPECT_EQ(ace.aceUnitCycles(spec.id), expected)
+                    << (mode == AceMode::Standard ? "standard" : "conservative");
+            }
+
+            // One unit past the last instance's end, and one instance
+            // past the last, are out of range.
+            AceAnalyzer ace(cfg, AceMode::Standard);
+            EXPECT_THROW(ace.onRead(spec.id, instances - 1, units, 0, 1),
+                         PanicError);
+            EXPECT_THROW(ace.onWrite(spec.id, instances, 0, 1), PanicError);
+            EXPECT_THROW(ace.onAlloc(spec.id, instances - 1, units - 1, 2, 1),
+                         PanicError);
+        }
+    }
 }
 
 /** Full-simulation properties. */

@@ -6,11 +6,16 @@
  * coverage, and the differential guarantee that the legacy and
  * checkpoint-restore engines classify identical control-fault lists
  * identically (control structures skip the dead-window prefilter but
- * keep checkpoint restore + hash early-out).
+ * keep checkpoint restore + hash early-out), and that a PC fault wakes
+ * an SM sleeping on a load.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "common/string_utils.hh"
+#include "isa/builder.hh"
 #include "reliability/ace.hh"
 #include "reliability/campaign.hh"
 #include "reliability/fault_injector.hh"
@@ -180,6 +185,159 @@ TEST(ControlFaults, DifferentialOutcomeEquality)
     // SDC/DUE outcomes from corrupted control state.
     EXPECT_GT(converged_total, 0u);
     EXPECT_GT(unmasked_total, 0u);
+}
+
+/** A kernel whose warps spend most of the run stalled on two dependent
+ *  global loads: data[i] = data[data[i]] + 1, with data[i] = i. */
+struct StallKernel
+{
+    Program program;
+    LaunchConfig launch;
+    MemoryImage image;
+};
+
+StallKernel
+stallKernel(IsaDialect dialect)
+{
+    KernelBuilder kb("load-stalls", dialect);
+    const Operand tid = kb.vreg();
+    const Operand cta = kb.vreg();
+    const Operand data = kb.uniformReg();
+    kb.s2r(tid, SpecialReg::TidX);
+    kb.s2r(cta, SpecialReg::CtaIdX);
+    kb.ldparam(data, 0);
+    const Operand addr = kb.vreg();
+    kb.imul(addr, cta, KernelBuilder::imm(64));
+    kb.iadd(addr, addr, tid);
+    kb.shl(addr, addr, KernelBuilder::imm(2));
+    kb.iadd(addr, addr, data);
+    const Operand v = kb.vreg();
+    kb.ldg(v, addr);
+    const Operand chased = kb.vreg();
+    kb.shl(chased, v, KernelBuilder::imm(2));
+    kb.iadd(chased, chased, data);
+    kb.ldg(v, chased);
+    kb.iadd(v, v, KernelBuilder::imm(1));
+    kb.stg(addr, v);
+    kb.exit();
+
+    StallKernel k{kb.finish(), {}, {}};
+    const Buffer buf = k.image.allocBuffer(128);
+    for (std::uint32_t i = 0; i < buf.words; ++i)
+        k.image.setWord(buf, i, i);
+    k.launch.blockX = 64;
+    k.launch.gridX = 2;
+    k.launch.addParamAddr(buf.byteAddr);
+    return k;
+}
+
+/** What outcome classification sees of a run (occupancy averages
+ *  left out: they may differ in the last ulp after a resume). */
+std::string
+runSummary(const RunResult& r, const MemoryImage& image)
+{
+    const SimStats& s = r.stats;
+    return strprintf(
+        "trap=%s cycles=%llu winst=%llu tinst=%llu ld=%llu st=%llu "
+        "txn=%llu image=%016llx",
+        std::string(trapKindName(r.trap)).c_str(),
+        static_cast<unsigned long long>(s.cycles),
+        static_cast<unsigned long long>(s.warpInstructions),
+        static_cast<unsigned long long>(s.threadInstructions),
+        static_cast<unsigned long long>(s.globalLoads),
+        static_cast<unsigned long long>(s.globalStores),
+        static_cast<unsigned long long>(s.globalTransactions),
+        static_cast<unsigned long long>(StateHash::wordsDigest(
+            image.words().data(), image.words().size(), 0)));
+}
+
+/**
+ * A fault on a sleeping SM wakes it.  While its warps wait on a global
+ * load an SM has nothing to issue and sleeps until the load returns; a
+ * PC fault selects another instruction (bit 0) or leaves the program
+ * (bit 31), and so moves the warp's issue cycle.  At every cycle of the
+ * golden run, a flip or a stuck-at-1 of those PC bits of warp slot 0 on
+ * SM 0 must run exactly as it does when resumed from a checkpoint
+ * recorded at that very cycle: a restore wakes every SM and re-derives
+ * every issue cycle, so the resumed run is the reference.
+ */
+TEST(ControlFaults, FaultOnSleepingSmWakesIt)
+{
+    // Checkpoints recorded per pass, bounding the deltas held at once.
+    constexpr Cycle kCyclesPerPass = 256;
+    for (const GpuConfig& cfg :
+         {test::smallCudaConfig(), test::smallSiConfig()}) {
+        SCOPED_TRACE(cfg.name);
+        const StallKernel k = stallKernel(cfg.dialect);
+        Gpu scratch_gpu(cfg);
+        const RunResult golden =
+            scratch_gpu.run(k.program, k.launch, k.image);
+        ASSERT_TRUE(golden.clean());
+        const Cycle g = golden.stats.cycles;
+        const std::string golden_summary =
+            runSummary(golden, golden.memory);
+
+        std::size_t mismatches = 0;
+        std::size_t moved = 0; // faulted runs that left the golden run
+        std::size_t checked = 0;
+        for (Cycle first = 0; first < g; first += kCyclesPerPass) {
+            const Cycle last = std::min(g, first + kCyclesPerPass);
+            CheckpointRecorder rec;
+            for (Cycle c = std::max<Cycle>(first, 1); c < last; ++c)
+                rec.checkpointCycles.push_back(c);
+            Gpu resume_gpu(cfg);
+            RunOptions record;
+            record.recorder = &rec;
+            ASSERT_TRUE(resume_gpu.run(k.program, k.launch, k.image, record)
+                            .clean());
+            resume_gpu.anchorTo(rec.baseline);
+            MemoryImage image = rec.baseline.memory;
+            image.markCleanForRestore();
+
+            for (const GpuCheckpointDelta& d : rec.deltas) {
+                if (d.now < first || d.now >= last)
+                    continue; // the cycle-0 delta of a later pass
+                for (const BitIndex bit : {BitIndex{0}, BitIndex{31}}) {
+                    for (const FaultBehavior behavior :
+                         {FaultBehavior::Transient,
+                          FaultBehavior::StuckAt1}) {
+                        FaultSpec fault;
+                        fault.structure = kSimt;
+                        fault.bitIndex = bit; // SM 0, warp slot 0, PC
+                        fault.cycle = d.now;
+                        fault.behavior = behavior;
+
+                        RunOptions scratch;
+                        scratch.fault = fault;
+                        scratch.maxCycles = 4 * g;
+                        const RunResult a = scratch_gpu.run(
+                            k.program, k.launch, k.image, scratch);
+
+                        RunOptions resumed = scratch;
+                        resumed.resumeDelta = &d;
+                        resumed.imageInOut = &image;
+                        const RunResult b = resume_gpu.run(
+                            k.program, k.launch, MemoryImage{}, resumed);
+
+                        const std::string want = runSummary(b, image);
+                        const std::string got = runSummary(a, a.memory);
+                        ++checked;
+                        moved += got != golden_summary;
+                        if (got != want && ++mismatches <= 5) {
+                            ADD_FAILURE()
+                                << faultBehaviorName(behavior) << " of PC bit "
+                                << bit << " at cycle " << d.now
+                                << "\n  from scratch: " << got
+                                << "\n  resumed:      " << want;
+                        }
+                    }
+                }
+            }
+        }
+        EXPECT_EQ(checked, 4 * g);
+        EXPECT_EQ(mismatches, 0u);
+        EXPECT_GT(moved, 0u);
+    }
 }
 
 /** Campaign path over a control structure: engine choice never changes
