@@ -20,10 +20,10 @@
  * non-negative ones that fit their type; anything else exits 2 with an
  * error message.
  *
- * By default every registered structure applicable to a cell is run
- * (including the control-state targets, which skip the dead-window
- * prefilter); --structures restricts to a registry subset, e.g. the
- * paper's original rf,lds,srf grid for the CI perf gate.
+ * By default every registered structure applicable to a cell is run;
+ * --structures restricts to a registry subset, e.g. the paper's
+ * original rf,lds,srf grid for the CI perf gate.  Each cell's pack
+ * records windows for the structures it runs, and no others.
  *
  * --behaviors selects the fault-behavior axis (default: all four, so
  * the persistent fast path is exercised out of the box).  Each behavior
@@ -179,7 +179,8 @@ run(int argc, char** argv)
             FaultInjector ckpt(cfg, inst);
             ckpt.adoptGoldenCycles(legacy.goldenCycles());
             t0 = std::chrono::steady_clock::now();
-            const auto pack = ckpt.buildCheckpointPack(checkpoints);
+            const auto pack =
+                ckpt.buildCheckpointPack(checkpoints, structures);
             t1 = std::chrono::steady_clock::now();
             const double pack_s = seconds(t0, t1);
             peak_pack_bytes =

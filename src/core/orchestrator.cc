@@ -629,7 +629,12 @@ runStudy(const StudySpec& spec, StudyProgress* progress_out)
                 const auto p0 = std::chrono::steady_clock::now();
                 FaultInjector injector(*cell->config, cell->instance);
                 injector.adoptGoldenCycles(cell->ace.goldenStats.cycles);
-                auto pack = injector.buildCheckpointPack(spec.checkpoints);
+                // Record windows for the structures this cell's
+                // campaigns inject, and no others.
+                auto pack = injector.buildCheckpointPack(
+                    spec.checkpoints,
+                    selectStructures(*cell->config, cell->usesLds,
+                                     spec.structures));
                 const double build_seconds =
                     std::chrono::duration<double>(
                         std::chrono::steady_clock::now() - p0)

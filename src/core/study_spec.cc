@@ -100,12 +100,7 @@ StudySpec::resolvedGpus() const
 std::vector<TargetStructure>
 StudySpec::resolvedStructures() const
 {
-    if (!structures.empty())
-        return structures;
-    std::vector<TargetStructure> all;
-    for (const StructureSpec& spec : structureRegistry())
-        all.push_back(spec.id);
-    return all;
+    return structures.empty() ? registeredStructures() : structures;
 }
 
 // ------------------------------------------------------------- validation

@@ -15,20 +15,13 @@ AccessProfileResult::forStructure(TargetStructure s) const
 
 AccessProfiler::AccessProfiler(const GpuConfig& config)
 {
-    counters_.resize(kNumTargetStructures);
     for (const StructureSpec& spec : structureRegistry()) {
-        Counters& c = counters_[static_cast<std::size_t>(spec.id)];
-        const std::uint64_t units_per_sm = spec.aceUnitsPerSm(config);
-        if (units_per_sm == 0)
-            continue;
-        c.unitsPerSm = static_cast<std::uint32_t>(units_per_sm);
-        const std::uint64_t instances = structureInstances(config, spec.id);
-        c.reads.assign(instances * units_per_sm, 0);
-        c.writes.assign(instances * units_per_sm, 0);
+        counters_[static_cast<std::size_t>(spec.id)] = UnitTable<Counts>(
+            spec.aceUnitsPerSm(config), structureInstances(config, spec.id));
     }
 }
 
-AccessProfiler::Counters&
+UnitTable<AccessProfiler::Counts>&
 AccessProfiler::counters(TargetStructure structure)
 {
     const auto index = static_cast<std::size_t>(structure);
@@ -39,7 +32,7 @@ AccessProfiler::counters(TargetStructure structure)
     return counters_[index];
 }
 
-const AccessProfiler::Counters&
+const UnitTable<AccessProfiler::Counts>&
 AccessProfiler::counters(TargetStructure structure) const
 {
     return const_cast<AccessProfiler*>(this)->counters(structure);
@@ -49,37 +42,36 @@ void
 AccessProfiler::onRead(TargetStructure structure, SmId sm,
                        std::uint32_t word, Word, Cycle)
 {
-    Counters& c = counters(structure);
-    ++c.reads[std::uint64_t{sm} * c.unitsPerSm + word];
+    UnitTable<Counts>& t = counters(structure);
+    ++t[t.index(sm, word)].reads;
 }
 
 void
 AccessProfiler::onWrite(TargetStructure structure, SmId sm,
                         std::uint32_t word, Cycle)
 {
-    Counters& c = counters(structure);
-    ++c.writes[std::uint64_t{sm} * c.unitsPerSm + word];
+    UnitTable<Counts>& t = counters(structure);
+    ++t[t.index(sm, word)].writes;
 }
 
 AccessSummary
 AccessProfiler::summary(TargetStructure structure) const
 {
-    const Counters& c = counters(structure);
+    const UnitTable<Counts>& t = counters(structure);
     AccessSummary s;
     s.structure = structure;
-    s.totalWords = c.reads.size();
+    s.totalWords = t.size();
 
     std::vector<std::uint64_t> per_word;
-    for (std::size_t i = 0; i < c.reads.size(); ++i) {
-        const std::uint64_t total =
-            std::uint64_t{c.reads[i]} + c.writes[i];
-        s.reads += c.reads[i];
-        s.writes += c.writes[i];
+    t.forEachTouched([&](std::size_t, const Counts& c) {
+        const std::uint64_t total = std::uint64_t{c.reads} + c.writes;
+        s.reads += c.reads;
+        s.writes += c.writes;
         if (total > 0) {
             ++s.touchedWords;
             per_word.push_back(total);
         }
-    }
+    });
 
     if (!per_word.empty()) {
         std::sort(per_word.begin(), per_word.end(),

@@ -14,10 +14,12 @@
 #ifndef GPR_RELIABILITY_ACCESS_PROFILE_HH
 #define GPR_RELIABILITY_ACCESS_PROFILE_HH
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
 #include "arch/gpu_config.hh"
+#include "reliability/unit_table.hh"
 #include "sim/observer.hh"
 #include "sim/structure_registry.hh"
 #include "workloads/workload.hh"
@@ -53,7 +55,8 @@ struct AccessSummary
     }
 };
 
-/** SimObserver counting per-unit accesses. */
+/** SimObserver counting per-unit accesses; an event outside its
+ *  structure throws PanicError. */
 class AccessProfiler : public SimObserver
 {
   public:
@@ -68,18 +71,18 @@ class AccessProfiler : public SimObserver
     AccessSummary summary(TargetStructure structure) const;
 
   private:
-    struct Counters
+    struct Counts
     {
-        std::vector<std::uint32_t> reads;
-        std::vector<std::uint32_t> writes;
-        std::uint32_t unitsPerSm = 0;
+        std::uint32_t reads = 0;
+        std::uint32_t writes = 0;
     };
 
-    Counters& counters(TargetStructure structure);
-    const Counters& counters(TargetStructure structure) const;
+    UnitTable<Counts>& counters(TargetStructure structure);
+    const UnitTable<Counts>& counters(TargetStructure structure) const;
 
-    /** One counter set per registered structure, in registry order. */
-    std::vector<Counters> counters_;
+    /** One counter table per registered structure, in registry order:
+     *  blocks allocated on first touch, events range-checked. */
+    std::array<UnitTable<Counts>, kNumTargetStructures> counters_;
 };
 
 /** Run one instrumented execution and return a summary per registered

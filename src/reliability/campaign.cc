@@ -70,7 +70,7 @@ runCampaign(const GpuConfig& config, const WorkloadInstance& instance,
         FaultInjector probe(config, instance);
         result.goldenStats = probe.goldenRun().stats;
         if (cc.checkpoints > 0 && cap > 0)
-            pack = probe.buildCheckpointPack(cc.checkpoints);
+            pack = probe.buildCheckpointPack(cc.checkpoints, {structure});
     }
 
     if (cap == 0)

@@ -35,21 +35,40 @@ chooseHashInterval(Cycle golden_cycles, std::uint64_t state_words)
 
 /**
  * The chip-wide unit whose golden windows decide transient @p fault in
- * @p spec, or nullopt when no exact window covers every faulted bit.
- * In word storage the aligned pattern group lies inside the sampled
- * bit's word; in a cache it must lie inside one data word.
+ * @p spec, or nullopt when no one unit holds every faulted bit.  The
+ * fault upsets the aligned group of its pattern's width around the
+ * sampled bit.  In word storage that group lies inside one word and in
+ * the predicate file inside one predicate register (a warpWidth-bit lane
+ * mask).  In the SIMT target it must lie inside the PC/mask unit or one
+ * stack entry of a warp slot, and in a cache inside one data word.
  */
 std::optional<std::uint64_t>
 deadWindowUnit(const GpuConfig& config, const StructureSpec& spec,
                const FaultSpec& fault)
 {
-    if (!spec.exactDeadWindows)
-        return std::nullopt;
-    if (spec.kind != StructureKind::CacheArray)
-        return fault.bitIndex / 32;
     const unsigned width = faultPatternWidth(fault.pattern);
-    return cacheDataUnit(config.cacheLineWords(),
-                         fault.bitIndex - fault.bitIndex % width, width);
+    const std::uint64_t first = fault.bitIndex - fault.bitIndex % width;
+    if (spec.kind == StructureKind::CacheArray)
+        return cacheDataUnit(config.cacheLineWords(), first, width);
+    const auto unit_of = [&](std::uint64_t bit) -> std::uint64_t {
+        switch (spec.id) {
+          case TargetStructure::PredicateFile:
+            return bit / config.warpWidth;
+          case TargetStructure::SimtStack: {
+            // Per warp slot: the PC and both masks, then the entries.
+            const std::uint64_t head = simtHeadBits(config);
+            const std::uint64_t r = bit % simtBitsPerWarp(config);
+            return bit / simtBitsPerWarp(config) * kSimtUnitsPerWarp +
+                   (r < head ? 0 : 1 + (r - head) / simtEntryBits(config));
+          }
+          default:
+            return bit / 32; // word storage
+        }
+    };
+    const std::uint64_t unit = unit_of(first);
+    if (unit_of(first + width - 1) != unit)
+        return std::nullopt;
+    return unit;
 }
 
 /**
@@ -135,7 +154,8 @@ FaultInjector::adoptGoldenCycles(Cycle cycles)
 }
 
 std::shared_ptr<const CheckpointPack>
-FaultInjector::buildCheckpointPack(unsigned checkpoints)
+FaultInjector::buildCheckpointPack(
+    unsigned checkpoints, const std::vector<TargetStructure>& structures)
 {
     const Cycle golden = goldenCycles();
 
@@ -158,7 +178,7 @@ FaultInjector::buildCheckpointPack(unsigned checkpoints)
 
     // One recording pass: windows, trajectory hashes, the cycle-0
     // baseline and a delta at each checkpoint cycle.
-    FaultWindowRecorder window_recorder(config_);
+    FaultWindowRecorder window_recorder(config_, structures);
     CheckpointRecorder recorder;
     recorder.checkpointCycles = evenCheckpointCycles(golden, checkpoints);
     RunOptions options;
@@ -209,14 +229,16 @@ FaultInjector::inject(const FaultSpec& fault)
     const Cycle golden_cycles = goldenCycles();
     const bool persistent = fault.persistent();
 
-    // The dead-window prefilter exists only for *transient* faults in
-    // word storage and cache data words: control-bit structures
-    // (predicate file, SIMT stack) and cache metadata act on the
-    // trajectory without a modelled read, and a persistent fault's word
-    // is never dead while the forcing holds (the next read re-manifests
-    // it regardless of golden liveness).  Multi-bit patterns stay in
-    // scope when the aligned group lies inside one word, so one window
-    // query covers every bit.  The residency prefilter needs a read
+    // The dead-window prefilter exists only for *transient* faults in a
+    // unit with windows: a word of word storage, a predicate register,
+    // the PC/mask unit or a stack entry of the SIMT target, or a cache
+    // data word.  Cache metadata acts on the trajectory without a
+    // modelled read, and a persistent fault's word is never dead while
+    // the forcing holds (the next read re-manifests it regardless of
+    // golden liveness).  Multi-bit patterns stay in scope when the
+    // aligned group lies inside one unit, so one window query covers
+    // every bit.  A structure the pack did not record answers
+    // observed() conservatively.  The residency prefilter needs a read
     // overlay: it is sound only where forcing leaves the raw word alone.
     ++phase_stats_.injections;
     Cycle converge_min = 0; // persistent early-out threshold (0 = none)

@@ -199,10 +199,14 @@ class FaultInjector
      * Returns the pack so sibling injectors of the same cell can adopt
      * it instead of re-recording.  @p checkpoints == 0 yields a
      * baseline-only pack (anchored restarts from cycle 0, hash
-     * early-out, no mid-run skipping).
+     * early-out, no mid-run skipping).  Windows and value residency are
+     * recorded for @p structures only, the ones the pack's injections
+     * target; a fault in any other structure gets no prefilter.
      */
     std::shared_ptr<const CheckpointPack> buildCheckpointPack(
-        unsigned checkpoints);
+        unsigned checkpoints,
+        const std::vector<TargetStructure>& structures =
+            registeredStructures());
 
     /**
      * Share a pack recorded by another injector of the same
@@ -230,10 +234,11 @@ class FaultInjector
      * simulation, and past the residency agree-from cycle the run
      * compares its trajectory hash against golden and early-outs on a
      * match.
-     * A transient flip in a cache data word outside every window is
-     * Masked with zero simulation like a word-storage flip; cache
-     * metadata bits, groups spanning two data words, persistent cache
-     * faults and control-bit structures keep the restore but get no
+     * A transient flip outside every window of its unit is Masked with
+     * zero simulation: a word of word storage, a predicate register,
+     * the SIMT PC/mask unit or a stack entry, or a cache data word.
+     * Cache metadata bits, groups spanning two such units and
+     * persistent cache and control faults keep the restore but get no
      * prefilter.
      */
     InjectionResult inject(const FaultSpec& fault);

@@ -85,18 +85,18 @@ FaultWindows::intervalCount() const
     return n;
 }
 
-FaultWindowRecorder::FaultWindowRecorder(const GpuConfig& config)
+FaultWindowRecorder::FaultWindowRecorder(
+    const GpuConfig& config, const std::vector<TargetStructure>& structures)
 {
-    for (const StructureSpec& spec : structureRegistry()) {
-        if (!spec.exactDeadWindows)
-            continue; // control bits: no exact windows exist
-        Tracker& t = tracker(spec.id);
+    for (TargetStructure s : structures) {
+        const StructureSpec& spec = structureSpec(s);
+        Tracker& t = tracker(s);
         t.tracked = true;
-        t.allocWrites = spec.kind == StructureKind::CacheArray;
+        t.allocWrites = spec.kind != StructureKind::WordStorage;
         t.residency =
             spec.persistenceHook == PersistenceHook::StorageReadOverlay;
         t.words = UnitTable<WordState>(spec.aceUnitsPerSm(config),
-                                       structureInstances(config, spec.id));
+                                       structureInstances(config, s));
     }
 }
 
@@ -175,11 +175,14 @@ FaultWindowRecorder::onAlloc(TargetStructure structure, SmId sm,
                              std::uint32_t first, std::uint32_t count,
                              Cycle cycle)
 {
-    // A cache refill overwrites the whole line.  Word-storage allocation
+    // A cache refill overwrites the whole line and a warp dispatch the
+    // slot's predicates, PC, masks and stack.  Word-storage allocation
     // leaves the old contents in place (see the file comment), so it
-    // closes no window.
+    // closes no window.  Gpu::run dispatches the kernel's first blocks
+    // before a cycle-0 flip lands, so an allocation at cycle 0 erases
+    // no flip; no line is refilled then, since nothing issues at 0.
     Tracker& t = tracker(structure);
-    if (!t.allocWrites)
+    if (!t.allocWrites || cycle == 0)
         return;
     const std::size_t base = t.words.index(sm, first, count);
     for (std::uint32_t i = 0; i < count; ++i)

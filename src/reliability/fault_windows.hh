@@ -29,20 +29,35 @@
  * writeback of a line (a dirty victim's eviction, or flushDirty() at the
  * end of the kernel), and each reports onRead for the word before using
  * the value.  A store overwrites the word (onWrite) and a line refill
- * overwrites the whole line, so on a cache row — and only there, unlike
- * word-storage allocation — onAlloc counts as a write of every unit it
- * names.  updateIfPresent() (an atomic patching a private L1d copy)
- * overwrites a word without any event, which can only keep a window
- * open.  Cache metadata is excluded: tag, valid and dirty bits act
- * through address comparison (a hit turns into a miss, a writeback is
- * dropped, fabricated or redirected), not through reads, so the
- * injector never queries a metadata unit (see cacheDataUnit()).
- * Control-bit structures (predicate file, SIMT stack) become
- * architecturally visible without any modelled "read" — a flipped PC
- * acts at the next issue — so only registry entries with
- * exactDeadWindows participate; observed() stays conservatively true
- * for every other structure and the injector skips the prefilter for
- * them up front.
+ * overwrites the whole line, so on a cache row, unlike word-storage
+ * allocation, onAlloc counts as a write of every unit it names.
+ * updateIfPresent() (an atomic patching a private L1d copy) overwrites
+ * a word without any event, which can only keep a window open.  Cache
+ * metadata is excluded: tag, valid and dirty bits act through address
+ * comparison (a hit turns into a miss, a writeback is dropped,
+ * fabricated or redirected), not through reads, so the injector never
+ * queries a metadata unit (see cacheDataUnit()).
+ *
+ * The control rows rest on the same argument, unit by unit: a predicate
+ * register of a warp slot, and per slot the SIMT target's PC/mask unit
+ * and each hardware stack entry.  A guard (BRA and EXIT conditions
+ * included), SELP and SETP's merge of guard-false lanes each report
+ * onRead of their predicate register before using it.  The PC and the
+ * active/exited masks are read at every issue (onRead, then onWrite as
+ * the PC advances); between issues, SmCore::issueCycle() consults the
+ * PC only of a Ready warp, which issues again, and so reads the unit,
+ * inside the same window.  A stack entry is read at its pop, and
+ * SmCore::mutateBit() ignores cells at or above the stack size, so a
+ * flip there changes nothing.  Warp dispatch rewrites all of a slot's
+ * control state, so onAlloc on a control row is a write of every unit
+ * it names, as on a cache row.  Gpu::run dispatches the kernel's first
+ * blocks before a cycle-0 flip lands, so an allocation at cycle 0
+ * erases no flip.  A bit group straddling two units has no one window
+ * and is never prefiltered (deadWindowUnit() in fault_injector.cc).
+ *
+ * A checkpoint pack records only the structures its cell's campaigns
+ * inject: for every structure left out, observed() stays conservatively
+ * true and stuckAgreeCycle() answers kNeverAgrees.
  *
  * Value residency (persistent-fault prefilter).  The same read-only-
  * entry argument extends to stuck-at faults: a read-overlay fault never
@@ -101,7 +116,7 @@ class FaultWindows
      * @p word (ACE unit) of @p structure ever be read before being
      * overwritten?  False means the fault is exactly Masked — for a
      * cache, only when @p word is a data-word unit.  Conservative on a
-     * disabled/unknown structure or word (returns true).
+     * disabled, unrecorded or unknown structure or word (returns true).
      */
     bool observed(TargetStructure structure, std::uint64_t word,
                   Cycle cycle) const;
@@ -193,7 +208,10 @@ class FaultWindows
 class FaultWindowRecorder : public SimObserver
 {
   public:
-    explicit FaultWindowRecorder(const GpuConfig& config);
+    /** Record windows for @p structures only; every other structure
+     *  answers conservatively (observed() true, kNeverAgrees). */
+    FaultWindowRecorder(const GpuConfig& config,
+                        const std::vector<TargetStructure>& structures);
 
     void onRead(TargetStructure structure, SmId sm, std::uint32_t word,
                 Word value, Cycle cycle) override;
@@ -271,10 +289,11 @@ class FaultWindowRecorder : public SimObserver
 
     struct Tracker
     {
-        /** False for structures without exact windows (control bits):
-         *  their events are ignored and no intervals are recorded. */
+        /** False for structures left out of the recording: their events
+         *  are ignored and no intervals are recorded. */
         bool tracked = false;
-        /** Cache rows: onAlloc is a line refill, a write of each unit. */
+        /** Cache and control rows: onAlloc is a line refill or a warp
+         *  dispatch, a write of each unit. */
         bool allocWrites = false;
         /** Read-overlay persistence: record value residency slots. */
         bool residency = false;

@@ -4,12 +4,12 @@
  * on first touch.
  *
  * The golden-run observers (ACE lifetime accounting, fault-window
- * recording) keep a few words of state per lifetime unit of every
- * structure.  A full-size chip has millions of units (an HD 7970's
- * register files alone hold 2M words), while a kernel touches a small
- * part of them.  Allocating a block of states on its first event makes
- * both building the table and sweeping it at the end cost only what the
- * run touched.
+ * recording, access profiling) keep a few words of state per lifetime
+ * unit of every structure.  A full-size chip has millions of units (an
+ * HD 7970's register files alone hold 2M words), while a kernel touches
+ * a small part of them.  Allocating a block of states on its first
+ * event makes both building the table and sweeping it at the end cost
+ * only what the run touched.
  */
 
 #ifndef GPR_RELIABILITY_UNIT_TABLE_HH
@@ -19,6 +19,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <type_traits>
 #include <vector>
 
 #include "common/logging.hh"
@@ -72,17 +73,34 @@ class UnitTable
     void
     forEachTouched(Fn&& fn)
     {
-        for (std::size_t b = 0; b < blocks_.size(); ++b) {
-            if (!blocks_[b])
-                continue;
-            const std::size_t first = b * kBlockUnits;
-            const std::size_t n = std::min(kBlockUnits, units_ - first);
-            for (std::size_t i = 0; i < n; ++i)
-                fn(first + i, blocks_[b][i]);
-        }
+        visitTouched(*this, fn);
+    }
+
+    template <typename Fn>
+    void
+    forEachTouched(Fn&& fn) const
+    {
+        visitTouched(*this, fn);
     }
 
   private:
+    /** forEachTouched() for a const or mutable @p table. */
+    template <typename Table, typename Fn>
+    static void
+    visitTouched(Table& table, Fn& fn)
+    {
+        using Ref = std::conditional_t<std::is_const_v<Table>, const State&,
+                                       State&>;
+        for (std::size_t b = 0; b < table.blocks_.size(); ++b) {
+            if (!table.blocks_[b])
+                continue;
+            const std::size_t first = b * kBlockUnits;
+            const std::size_t n = std::min(kBlockUnits, table.units_ - first);
+            for (std::size_t i = 0; i < n; ++i)
+                fn(first + i, static_cast<Ref>(table.blocks_[b][i]));
+        }
+    }
+
     /** Units per block (a power of two). */
     static constexpr unsigned kBlockBits = 8;
     static constexpr std::size_t kBlockUnits = std::size_t{1}

@@ -74,9 +74,9 @@ simtUnitBits(const GpuConfig& c, std::uint32_t unit)
 {
     // Unit 0 of each warp is the PC + active/exited masks; units
     // 1..kSimtStackDepth are (kind, pc, mask) stack entries.
-    return unit % kSimtUnitsPerWarp == 0
-               ? 32 + 2 * c.warpWidth
-               : static_cast<std::uint32_t>(simtEntryBits(c));
+    return static_cast<std::uint32_t>(unit % kSimtUnitsPerWarp == 0
+                                          ? simtHeadBits(c)
+                                          : simtEntryBits(c));
 }
 
 std::uint64_t
@@ -163,49 +163,40 @@ structureRegistry()
     static const std::array<StructureSpec, kNumTargetStructures> registry = {{
         {TargetStructure::VectorRegisterFile, StructureKind::WordStorage,
          "register-file", "rf", "register_file",
-         /*exactDeadWindows=*/true, PersistenceHook::StorageReadOverlay,
-         StructureScope::PerSm,
+         PersistenceHook::StorageReadOverlay, StructureScope::PerSm,
          vrfBits, vrfUnits, /*aceUnitBits=*/nullptr, vrfOcc},
         {TargetStructure::SharedMemory, StructureKind::WordStorage,
          "local-memory", "lds", "local_memory",
-         /*exactDeadWindows=*/true, PersistenceHook::StorageReadOverlay,
-         StructureScope::PerSm,
+         PersistenceHook::StorageReadOverlay, StructureScope::PerSm,
          ldsBits, ldsUnits, /*aceUnitBits=*/nullptr, ldsOcc},
         {TargetStructure::ScalarRegisterFile, StructureKind::WordStorage,
          "scalar-register-file", "srf", "scalar_register_file",
-         /*exactDeadWindows=*/true, PersistenceHook::StorageReadOverlay,
-         StructureScope::PerSm,
+         PersistenceHook::StorageReadOverlay, StructureScope::PerSm,
          srfBits, srfUnits, /*aceUnitBits=*/nullptr, srfOcc},
         // Predicate units are uniform (one warpWidth-bit lane mask per
         // register), so no per-unit bit weighting is needed: unit-cycle
         // over unit accounting already equals the bit-weighted ratio.
         {TargetStructure::PredicateFile, StructureKind::ControlBits,
          "predicate-file", "pred", "predicate_file",
-         /*exactDeadWindows=*/false, PersistenceHook::CycleReassert,
-         StructureScope::PerSm,
+         PersistenceHook::CycleReassert, StructureScope::PerSm,
          predBits, predUnits, /*aceUnitBits=*/nullptr, warpOcc},
         {TargetStructure::SimtStack, StructureKind::ControlBits,
          "simt-stack", "simt", "simt_stack",
-         /*exactDeadWindows=*/false, PersistenceHook::CycleReassert,
-         StructureScope::PerSm,
+         PersistenceHook::CycleReassert, StructureScope::PerSm,
          simtBits, simtUnits, simtUnitBits, warpOcc},
-        // Exact dead windows cover the data words only: metadata acts
-        // through address comparison, not reads.  Persistence re-forces
-        // the faulty bits each stepped cycle (CycleReassert).
+        // Cache persistence re-forces the faulty bits of the raw line
+        // each stepped cycle (CycleReassert).
         {TargetStructure::L1DataCache, StructureKind::CacheArray,
          "l1-data-cache", "l1d", "l1_data_cache",
-         /*exactDeadWindows=*/true, PersistenceHook::CycleReassert,
-         StructureScope::PerSm,
+         PersistenceHook::CycleReassert, StructureScope::PerSm,
          l1dBits, l1dUnits, cacheUnitBits, fullOcc},
         {TargetStructure::L1InstructionCache, StructureKind::CacheArray,
          "l1-instruction-cache", "l1i", "l1_instruction_cache",
-         /*exactDeadWindows=*/true, PersistenceHook::CycleReassert,
-         StructureScope::PerSm,
+         PersistenceHook::CycleReassert, StructureScope::PerSm,
          l1iBits, l1iUnits, cacheUnitBits, fullOcc},
         {TargetStructure::L2Cache, StructureKind::CacheArray,
          "l2-cache", "l2", "l2_cache",
-         /*exactDeadWindows=*/true, PersistenceHook::CycleReassert,
-         StructureScope::Chip,
+         PersistenceHook::CycleReassert, StructureScope::Chip,
          l2Bits, l2Units, cacheUnitBits, fullOcc},
     }};
     return registry;
@@ -302,6 +293,15 @@ selectStructures(const GpuConfig& config, bool uses_local_memory,
         out.push_back(spec.id);
     }
     return out;
+}
+
+std::vector<TargetStructure>
+registeredStructures()
+{
+    std::vector<TargetStructure> all;
+    for (const StructureSpec& spec : structureRegistry())
+        all.push_back(spec.id);
+    return all;
 }
 
 std::uint64_t

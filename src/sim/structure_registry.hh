@@ -18,11 +18,12 @@
  *    classify most faults with zero simulation.
  *  - **ControlBits**: packed per-warp control state (predicate file,
  *    SIMT reconvergence stack + PC), laid out bit-linearly over the
- *    SM's resident warp slots.  Reads are not the only way such bits
- *    become architecturally visible (a flipped PC acts at the next
- *    issue without any "read" event), so control structures have no
- *    exact dead windows — the checkpoint engine skips the prefilter
- *    but keeps checkpoint restore and hash early-out.
+ *    SM's resident warp slots.  Every consumer reports a read of its
+ *    unit first (a guard, SELP or SETP's merge reads a predicate
+ *    register; each issue reads the PC/mask unit; a pop reads its stack
+ *    entry) and warp dispatch rewrites them all, so each predicate
+ *    register, PC/mask unit and stack entry gets exact dead windows
+ *    too.  A bit group straddling two SIMT units gets none.
  *  - **CacheArray**: modeled cache lines (tag + valid/dirty + data; see
  *    sim/cache.hh) of the L1d/L1i/L2 hierarchy.  A data word's value
  *    leaves the array only through a modelled read (a hit, a fetch or a
@@ -31,6 +32,11 @@
  *    through address comparison rather than reads, so tag, valid and
  *    dirty bits have none; checkpoint restore and the hash early-out
  *    still apply to them.
+ *
+ * The checkpoint engine's zero-simulation prefilter rests on these
+ * windows, for transient faults only (a persistent fault's cell is never
+ * dead while the forcing holds).  One function maps a fault's bit group
+ * to its window unit: deadWindowUnit() in reliability/fault_injector.cc.
  */
 
 #ifndef GPR_SIM_STRUCTURE_REGISTRY_HH
@@ -114,12 +120,18 @@ simtEntryBits(const GpuConfig& config)
     return 1 + 32 + std::uint64_t{config.warpWidth};
 }
 
+/** Bits of a warp slot's SIMT PC/mask unit: PC + active/exited masks. */
+inline std::uint64_t
+simtHeadBits(const GpuConfig& config)
+{
+    return 32 + 2 * std::uint64_t{config.warpWidth};
+}
+
 /** SIMT control bits per warp slot: PC, active/exited masks, stack. */
 inline std::uint64_t
 simtBitsPerWarp(const GpuConfig& config)
 {
-    return 32 + 2 * std::uint64_t{config.warpWidth} +
-           kSimtStackDepth * simtEntryBits(config);
+    return simtHeadBits(config) + kSimtStackDepth * simtEntryBits(config);
 }
 
 /** ACE units per warp slot of the SIMT target: the PC/mask unit plus
@@ -141,12 +153,6 @@ struct StructureSpec
     std::string_view shortName;
     /** Key used in JSON exports, e.g. "register_file". */
     std::string_view jsonKey;
-    /** The golden trace yields exact per-unit dead windows (the
-     *  checkpoint engine's zero-simulation prefilter): for every word of
-     *  word storage, and for the data words — not the tag, valid and
-     *  dirty bits — of a cache array.  Transient faults only: a
-     *  persistent fault's cell is never dead while the forcing holds. */
-    bool exactDeadWindows = false;
     /** How this structure hosts stuck-at / intermittent faults. */
     PersistenceHook persistenceHook = PersistenceHook::None;
     /** One instance per SM, or one chip-shared instance (the L2). */
@@ -241,6 +247,9 @@ structureEntry(const std::vector<T>& entries, TargetStructure s,
  *  chip-scoped structure (whose events all name SM 0). */
 std::uint64_t structureInstances(const GpuConfig& config,
                                  TargetStructure id);
+
+/** Every registered structure, in registry order. */
+std::vector<TargetStructure> registeredStructures();
 
 /** Chip-wide ACE units of @p id on @p config. */
 std::uint64_t structureAceUnitsTotal(const GpuConfig& config,

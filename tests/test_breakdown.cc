@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "common/logging.hh"
 #include "reliability/access_profile.hh"
 #include "reliability/breakdown.hh"
 #include "sim_test_util.hh"
@@ -113,6 +116,48 @@ TEST(AccessProfile, ReductionTreeConcentratesSharedTraffic)
     const AccessProfileResult p = profileAccesses(cfg, inst);
     EXPECT_GT(p.forStructure(TargetStructure::SharedMemory).top10Share,
               0.12);
+}
+
+/**
+ * The first and last unit of the first and last instance of every
+ * structure on two full-size chips are counted on their own, and an
+ * event past either end throws instead of writing past the counters.
+ */
+TEST(AccessProfile, EdgeUnitsOfEveryStructure)
+{
+    for (GpuModel model :
+         {GpuModel::HdRadeon7970, GpuModel::GeforceGtx480}) {
+        const GpuConfig& cfg = gpuConfig(model);
+        for (const StructureSpec& spec : structureRegistry()) {
+            SCOPED_TRACE(std::string(spec.shortName) + " on " + cfg.name);
+            const auto units =
+                static_cast<std::uint32_t>(spec.aceUnitsPerSm(cfg));
+            const auto instances =
+                static_cast<SmId>(structureInstances(cfg, spec.id));
+            AccessProfiler profiler(cfg);
+            if (units == 0) {
+                // Absent on this chip: every event is out of range.
+                EXPECT_THROW(profiler.onRead(spec.id, 0, 0, 0, 1),
+                             PanicError);
+                EXPECT_EQ(profiler.summary(spec.id).totalWords, 0u);
+                continue;
+            }
+            profiler.onRead(spec.id, 0, 0, 0, 1);
+            profiler.onWrite(spec.id, 0, units - 1, 2);
+            profiler.onRead(spec.id, instances - 1, units - 1, 0, 3);
+            profiler.onRead(spec.id, instances - 1, units - 1, 0, 4);
+            const AccessSummary s = profiler.summary(spec.id);
+            EXPECT_EQ(s.totalWords, std::uint64_t{units} * instances);
+            EXPECT_EQ(s.reads, 3u);
+            EXPECT_EQ(s.writes, 1u);
+            EXPECT_EQ(s.touchedWords, instances > 1 ? 3u : 2u);
+
+            EXPECT_THROW(profiler.onRead(spec.id, instances - 1, units, 0, 5),
+                         PanicError);
+            EXPECT_THROW(profiler.onWrite(spec.id, instances, 0, 5),
+                         PanicError);
+        }
+    }
 }
 
 TEST(AccessProfile, NoSharedTrafficWithoutLocalMemory)

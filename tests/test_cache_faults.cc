@@ -372,7 +372,7 @@ dataBit(std::uint32_t line, std::uint32_t j)
 struct RecordedCaches
 {
     GpuConfig cfg = smallLineConfig();
-    FaultWindowRecorder recorder{cfg};
+    FaultWindowRecorder recorder{cfg, registeredStructures()};
     MemoryImage img;
     CacheModel l1d{kL1d, 0, 4, 4};
     CacheModel l1i{kL1i, 0, 4, 4};

@@ -451,8 +451,8 @@ TEST(Checkpoint, BudgetIsClamped)
 }
 
 /**
- * A FaultWindowRecorder that also notes, per chip-global word of each
- * structure with exact windows, the cycles of the events it saw.  A
+ * A FaultWindowRecorder of every structure that also notes, per
+ * chip-global word of each, the cycles of the events it saw.  A
  * window opens at cycle 0 or just after a write and closes at a read,
  * so observed() can change only at an event cycle c or at c + 1.
  */
@@ -460,7 +460,8 @@ class EventCycleLog : public FaultWindowRecorder
 {
   public:
     explicit EventCycleLog(const GpuConfig& config)
-        : FaultWindowRecorder(config), config_(config)
+        : FaultWindowRecorder(config, registeredStructures()),
+          config_(config)
     {
     }
 
@@ -497,10 +498,9 @@ class EventCycleLog : public FaultWindowRecorder
     void
     note(TargetStructure structure, SmId sm, std::uint32_t word, Cycle c)
     {
-        const StructureSpec& spec = structureSpec(structure);
-        if (spec.exactDeadWindows)
-            cycles[{structure, sm * spec.aceUnitsPerSm(config_) + word}]
-                .push_back(c);
+        cycles[{structure,
+                sm * structureSpec(structure).aceUnitsPerSm(config_) + word}]
+            .push_back(c);
     }
 
     const GpuConfig& config_;
@@ -572,8 +572,6 @@ TEST(Checkpoint, RecordingCheckpointsDoesNotPerturbTheRecording)
             }
         }
         for (const StructureSpec& spec : structureRegistry()) {
-            if (!spec.exactDeadWindows)
-                continue;
             const std::uint64_t words =
                 structureAceUnitsTotal(cfg, spec.id);
             const bool residency = spec.persistenceHook ==

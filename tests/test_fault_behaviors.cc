@@ -291,7 +291,7 @@ TEST(FaultModel, PersistentDifferentialAcrossEnginesAndStructures)
 TEST(FaultModel, StuckAgreeCycleTracksLastDisagreeingRead)
 {
     const GpuConfig cfg = test::smallCudaConfig();
-    FaultWindowRecorder rec(cfg);
+    FaultWindowRecorder rec(cfg, registeredStructures());
     // Word 7 of SM 0's register file: read as 0b1 at cycle 10, then as
     // 0b0 at cycle 20.
     rec.onRead(kRf, 0, 7, 0x1, 10);

@@ -5,8 +5,8 @@
  * FaultWindows is checked against a brute-force oracle built from the
  * same stream — observed() at every cycle, stuckAgreeCycle() for every
  * aligned bit group of widths 1/2/4 and both forced values, and
- * intervalCount() — plus the residency slot cap and the sizing of the
- * chip-scoped L2.
+ * intervalCount() — plus a recorder of one structure against the full
+ * one, the residency slot cap and the sizing of the chip-scoped L2.
  */
 
 #include <gtest/gtest.h>
@@ -26,7 +26,7 @@ namespace {
 
 constexpr Cycle kNever = FaultWindows::kNeverAgrees;
 
-/** One observer event, in stream order. */
+/** One observer event of one word, in stream order. */
 struct Event
 {
     bool read = false;
@@ -49,6 +49,28 @@ chipWord(const GpuConfig& cfg, TargetStructure structure, SmId sm,
 {
     return std::uint64_t{sm} * structureSpec(structure).aceUnitsPerSm(cfg) +
            word;
+}
+
+/**
+ * The units one allocation names: a cache line, or the predicate
+ * registers or SIMT units of one warp slot.  Such an allocation
+ * rewrites them all (a refill or a dispatch); word storage allocates
+ * single words here, and its allocation writes nothing.
+ */
+std::uint32_t
+allocGroupUnits(const GpuConfig& cfg, TargetStructure structure)
+{
+    switch (structure) {
+      case TargetStructure::PredicateFile:
+        return kNumPredRegs;
+      case TargetStructure::SimtStack:
+        return kSimtUnitsPerWarp;
+      default:
+        return structureSpec(structure).kind == StructureKind::CacheArray
+                   ? static_cast<std::uint32_t>(
+                         cacheLineAceUnits(cfg.cacheLineWords()))
+                   : 1;
+    }
 }
 
 /**
@@ -120,127 +142,181 @@ struct WordOracle
 
 using WordKey = std::pair<TargetStructure, std::uint64_t>;
 
-/**
- * Random stream over a few words of each of rf/lds/srf, the untracked
- * predicate file and the three caches, on a 2-CU Southern Islands
- * device: cycles advance by 0..3, so several events share a cycle, and
- * values drift one bit at a time (so bits agree over long runs) with
- * occasional fresh values.  Allocations land on every structure; on a
- * cache row they are line refills, which the oracle sees as a write of
- * every unit of the line, and elsewhere they write nothing.  Cache sites
- * crowd into three lines per instance so refills hit read words.
- */
-void
-runRandomStream(std::uint64_t seed)
+/** One observer call of a stream. */
+struct Call
 {
-    SCOPED_TRACE(testing::Message() << "seed " << seed);
-    const GpuConfig cfg = test::smallSiConfig();
-    const TargetStructure kStructures[] = {
+    enum Kind { Read, Write, Alloc } kind = Read;
+    TargetStructure structure = TargetStructure::VectorRegisterFile;
+    SmId sm = 0;
+    std::uint32_t word = 0;  ///< the first unit of an allocation
+    std::uint32_t count = 1; ///< units an allocation names
+    Word value = 0;
+    Cycle cycle = 0;
+};
+
+/**
+ * A random stream over a few words of each of rf/lds/srf, the predicate
+ * file, the SIMT target and the three caches on a 2-CU Southern Islands
+ * device, with the oracle of every word it touches.  Cycles advance by
+ * 0..3, so several events share a cycle, and values drift one bit at a
+ * time (so bits agree over long runs) with occasional fresh values.
+ * Allocations land on every structure.  On a cache row they are line
+ * refills and on the predicate file and the SIMT target warp
+ * dispatches; the oracle sees either as a write of every unit named,
+ * except at cycle 0, where it is the kernel's first dispatch, which
+ * precedes a cycle-0 flip and so erases none.  Word-storage
+ * allocation writes nothing.  Cache and control sites crowd into three
+ * lines or warp slots per instance, so allocations hit read units;
+ * SIMT sites are PC/mask units and stack entries alike.
+ */
+struct RandomStream
+{
+    static constexpr TargetStructure kStructures[] = {
         TargetStructure::VectorRegisterFile,
         TargetStructure::SharedMemory,
         TargetStructure::ScalarRegisterFile,
         TargetStructure::PredicateFile,
+        TargetStructure::SimtStack,
         TargetStructure::L1DataCache,
         TargetStructure::L1InstructionCache,
         TargetStructure::L2Cache,
     };
-    const auto line_units =
-        static_cast<std::uint32_t>(cacheLineAceUnits(cfg.cacheLineWords()));
 
-    Rng rng(seed);
-    struct Site
-    {
-        TargetStructure structure;
-        SmId sm;
-        std::uint32_t word;
-        Word value;
-    };
-    std::vector<Site> sites;
-    for (TargetStructure s : kStructures) {
-        const StructureSpec& spec = structureSpec(s);
-        const std::uint64_t words = spec.aceUnitsPerSm(cfg);
-        ASSERT_GT(words, 0u) << targetStructureName(s);
-        const bool cache = spec.kind == StructureKind::CacheArray;
-        for (int i = 0; i < 12; ++i) {
-            const SmId sm = spec.scope == StructureScope::Chip
-                                ? 0
-                                : static_cast<SmId>(rng.below(cfg.numSms));
-            const auto word = static_cast<std::uint32_t>(
-                cache ? rng.below(3) * line_units + rng.below(line_units)
-                      : rng.below(words));
-            sites.push_back({s, sm, word, static_cast<Word>(rng())});
-        }
-    }
-
-    FaultWindowRecorder recorder(cfg);
+    GpuConfig cfg = test::smallSiConfig();
+    std::vector<Call> calls;
     std::map<WordKey, WordOracle> oracle;
-    Cycle cycle = 0;
-    // About every sixth event is followed by one more on the same word
-    // in the same cycle (write-then-read in one cycle opens an empty
-    // window).
-    Site* repeat = nullptr;
-    for (int step = 0; step < 1500; ++step) {
-        const bool same = repeat != nullptr;
-        if (!same)
-            cycle += rng.below(4);
-        Site& site = same ? *repeat : sites[rng.below(sites.size())];
-        repeat = !same && rng.below(6) == 0 ? &site : nullptr;
-        const WordKey key{site.structure,
-                          chipWord(cfg, site.structure, site.sm, site.word)};
-        if (rng.below(8) == 0) {
-            if (structureSpec(site.structure).kind !=
-                StructureKind::CacheArray) {
-                recorder.onAlloc(site.structure, site.sm, site.word, 1,
-                                 cycle);
+    Cycle end = 0; ///< past every event
+
+    explicit RandomStream(std::uint64_t seed)
+    {
+        Rng rng(seed);
+        struct Site
+        {
+            TargetStructure structure;
+            SmId sm;
+            std::uint32_t word;
+            Word value;
+        };
+        std::vector<Site> sites;
+        for (TargetStructure s : kStructures) {
+            const StructureSpec& spec = structureSpec(s);
+            const std::uint64_t words = spec.aceUnitsPerSm(cfg);
+            EXPECT_GT(words, 0u) << targetStructureName(s);
+            const std::uint32_t group = allocGroupUnits(cfg, s);
+            for (int i = 0; i < 12; ++i) {
+                const SmId sm =
+                    spec.scope == StructureScope::Chip
+                        ? 0
+                        : static_cast<SmId>(rng.below(cfg.numSms));
+                const auto word = static_cast<std::uint32_t>(
+                    group > 1 ? rng.below(3) * group + rng.below(group)
+                              : rng.below(words));
+                sites.push_back({s, sm, word, static_cast<Word>(rng())});
+            }
+        }
+
+        Cycle cycle = 0;
+        // About every sixth event is followed by one more on the same
+        // word in the same cycle (write-then-read in one cycle opens an
+        // empty window).
+        Site* repeat = nullptr;
+        for (int step = 0; step < 1500; ++step) {
+            const bool same = repeat != nullptr;
+            if (!same)
+                cycle += rng.below(4);
+            Site& site = same ? *repeat : sites[rng.below(sites.size())];
+            repeat = !same && rng.below(6) == 0 ? &site : nullptr;
+            Call call;
+            call.structure = site.structure;
+            call.sm = site.sm;
+            call.word = site.word;
+            call.cycle = cycle;
+            if (rng.below(8) == 0) {
+                const std::uint32_t group =
+                    allocGroupUnits(cfg, site.structure);
+                call.kind = Call::Alloc;
+                call.word = site.word - site.word % group;
+                call.count = group;
+                calls.push_back(call);
+                const bool writes = structureSpec(site.structure).kind !=
+                                    StructureKind::WordStorage;
+                if (!writes || cycle == 0)
+                    continue;
+                for (std::uint32_t u = call.word; u < call.word + group;
+                     ++u) {
+                    Event w;
+                    w.cycle = cycle;
+                    oracle[{site.structure,
+                            chipWord(cfg, site.structure, site.sm, u)}]
+                        .events.push_back(w);
+                }
                 continue;
             }
-            const std::uint32_t first =
-                site.word - site.word % line_units;
-            recorder.onAlloc(site.structure, site.sm, first, line_units,
-                             cycle);
-            for (std::uint32_t u = first; u < first + line_units; ++u) {
-                Event w;
-                w.cycle = cycle;
-                oracle[{site.structure,
-                        chipWord(cfg, site.structure, site.sm, u)}]
-                    .events.push_back(w);
+            Event e;
+            e.cycle = cycle;
+            e.read = rng.below(3) != 0;
+            if (e.read) {
+                if (rng.below(8) == 0)
+                    site.value = static_cast<Word>(rng());
+                else
+                    site.value ^= Word{1} << rng.below(32);
+                e.value = site.value;
             }
-            continue;
+            call.kind = e.read ? Call::Read : Call::Write;
+            call.value = e.value;
+            calls.push_back(call);
+            oracle[{site.structure,
+                    chipWord(cfg, site.structure, site.sm, site.word)}]
+                .events.push_back(e);
         }
-        Event e;
-        e.cycle = cycle;
-        e.read = rng.below(3) != 0;
-        if (e.read) {
-            if (rng.below(8) == 0)
-                site.value = static_cast<Word>(rng());
-            else
-                site.value ^= Word{1} << rng.below(32);
-            e.value = site.value;
-            recorder.onRead(site.structure, site.sm, site.word, e.value,
-                            e.cycle);
-        } else {
-            recorder.onWrite(site.structure, site.sm, site.word, e.cycle);
-        }
-        oracle[key].events.push_back(e);
+        end = cycle + 2;
     }
-    const Cycle end = cycle + 2;
 
-    FaultWindows windows;
-    recorder.finalize(windows);
-    ASSERT_TRUE(windows.enabled());
+    /** Feed the stream to a recorder of @p structures and finalise. */
+    FaultWindows
+    record(const std::vector<TargetStructure>& structures) const
+    {
+        FaultWindowRecorder recorder(cfg, structures);
+        for (const Call& c : calls) {
+            switch (c.kind) {
+              case Call::Read:
+                recorder.onRead(c.structure, c.sm, c.word, c.value,
+                                c.cycle);
+                break;
+              case Call::Write:
+                recorder.onWrite(c.structure, c.sm, c.word, c.cycle);
+                break;
+              case Call::Alloc:
+                recorder.onAlloc(c.structure, c.sm, c.word, c.count,
+                                 c.cycle);
+                break;
+            }
+        }
+        FaultWindows windows;
+        recorder.finalize(windows);
+        EXPECT_TRUE(windows.enabled());
+        return windows;
+    }
+};
+
+void
+runRandomStream(std::uint64_t seed)
+{
+    SCOPED_TRACE(testing::Message() << "seed " << seed);
+    const RandomStream stream(seed);
+    const GpuConfig& cfg = stream.cfg;
+    const FaultWindows windows = stream.record(registeredStructures());
 
     std::size_t expected_intervals = 0;
-    for (const auto& [key, word] : oracle) {
+    for (const auto& [key, word] : stream.oracle) {
         const auto [structure, chip_word] = key;
         SCOPED_TRACE(testing::Message()
                      << targetStructureName(structure) << " word "
                      << chip_word);
-        const bool tracked = structureSpec(structure).exactDeadWindows;
-        if (tracked)
-            expected_intervals += word.intervals();
-        for (Cycle c = 0; c <= end; ++c) {
+        expected_intervals += word.intervals();
+        for (Cycle c = 0; c <= stream.end; ++c) {
             ASSERT_EQ(windows.observed(structure, chip_word, c),
-                      !tracked || word.observed(c))
+                      word.observed(c))
                 << "cycle " << c;
         }
         const bool residency = hasResidency(structure);
@@ -262,10 +338,9 @@ runRandomStream(std::uint64_t seed)
 
     // Words the stream never touched: never observed; always benign
     // under a read overlay, never provably benign elsewhere.
-    for (TargetStructure s : kStructures) {
+    Rng rng(seed ^ 0x5EED);
+    for (TargetStructure s : RandomStream::kStructures) {
         const StructureSpec& spec = structureSpec(s);
-        if (!spec.exactDeadWindows)
-            continue;
         for (int i = 0; i < 16; ++i) {
             const SmId sm = spec.scope == StructureScope::Chip
                                 ? 0
@@ -273,9 +348,9 @@ runRandomStream(std::uint64_t seed)
             const auto w = static_cast<std::uint32_t>(
                 rng.below(spec.aceUnitsPerSm(cfg)));
             const std::uint64_t chip_word = chipWord(cfg, s, sm, w);
-            if (oracle.count({s, chip_word}))
+            if (stream.oracle.count({s, chip_word}))
                 continue;
-            EXPECT_FALSE(windows.observed(s, chip_word, end / 2));
+            EXPECT_FALSE(windows.observed(s, chip_word, stream.end / 2));
             EXPECT_EQ(windows.stuckAgreeCycle(s, chip_word, 0, 4, true),
                       hasResidency(s) ? 0u : kNever);
         }
@@ -288,13 +363,60 @@ TEST(FaultWindows, RecorderMatchesBruteForceOracle)
         runRandomStream(seed);
 }
 
+/**
+ * A pack records only the structures its campaigns inject.  A recorder
+ * of {rf} fed the random stream keeps the full recorder's rf windows and
+ * residency, and every other structure answers as an unrecorded one:
+ * observed() true at every cycle and kNeverAgrees.
+ */
+TEST(FaultWindows, RecorderOfOneStructureLeavesTheRestConservative)
+{
+    const TargetStructure rf = TargetStructure::VectorRegisterFile;
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+        SCOPED_TRACE(testing::Message() << "seed " << seed);
+        const RandomStream stream(seed);
+        const FaultWindows full = stream.record(registeredStructures());
+        const FaultWindows only_rf = stream.record({rf});
+
+        std::size_t rf_intervals = 0;
+        for (const auto& [key, word] : stream.oracle) {
+            const auto [structure, chip_word] = key;
+            SCOPED_TRACE(testing::Message()
+                         << targetStructureName(structure) << " word "
+                         << chip_word);
+            if (structure == rf)
+                rf_intervals += word.intervals();
+            for (Cycle c = 0; c <= stream.end; ++c) {
+                ASSERT_EQ(only_rf.observed(structure, chip_word, c),
+                          structure != rf ||
+                              full.observed(structure, chip_word, c))
+                    << "cycle " << c;
+            }
+            for (unsigned first = 0; first < 32; first += 2) {
+                for (bool value : {false, true}) {
+                    ASSERT_EQ(
+                        only_rf.stuckAgreeCycle(structure, chip_word, first,
+                                                2, value),
+                        structure == rf
+                            ? full.stuckAgreeCycle(structure, chip_word,
+                                                   first, 2, value)
+                            : kNever)
+                        << "bits " << first << "+2 stuck-at-" << value;
+                }
+            }
+        }
+        EXPECT_GT(rf_intervals, 0u);
+        EXPECT_EQ(only_rf.intervalCount(), rf_intervals);
+    }
+}
+
 /** Stamps past 32 bits saturate: the word is never provably benign for
  *  the affected (bit, value) pairs, and exact for the others. */
 TEST(FaultWindows, LateDisagreementSaturates)
 {
     const GpuConfig cfg = test::smallSiConfig();
     const TargetStructure rf = TargetStructure::VectorRegisterFile;
-    FaultWindowRecorder recorder(cfg);
+    FaultWindowRecorder recorder(cfg, registeredStructures());
     const Cycle late = Cycle{0xFFFFFFFFu} + 5;
     recorder.onRead(rf, 0, 7, 0x1u, 10);
     recorder.onRead(rf, 0, 7, 0x3u, late);
@@ -332,7 +454,7 @@ TEST(FaultWindows, ResidencySlotCapTurnsLaterWordsConservative)
     };
     const auto cycle_of = [](std::uint64_t w) { return Cycle{w / 64}; };
 
-    FaultWindowRecorder recorder(cfg);
+    FaultWindowRecorder recorder(cfg, registeredStructures());
     for (std::uint64_t w = 0; w < kWords; ++w) {
         recorder.onRead(rf, static_cast<SmId>(w / words_per_sm),
                         static_cast<std::uint32_t>(w % words_per_sm),
@@ -373,7 +495,7 @@ TEST(FaultWindows, ChipScopedL2IsSizedOnce)
     const std::uint64_t units = structureAceUnitsTotal(cfg, l2);
     ASSERT_GT(cfg.numSms, 1u);
 
-    FaultWindowRecorder recorder(cfg);
+    FaultWindowRecorder recorder(cfg, registeredStructures());
     recorder.onRead(l2, 0, static_cast<std::uint32_t>(units - 1), 0, 5);
     FaultWindows windows;
     recorder.finalize(windows);
@@ -398,7 +520,7 @@ TEST(FaultWindows, CacheRowsRecordNoResidency)
                                        TargetStructure::L1InstructionCache};
     constexpr std::uint64_t kCap = std::uint64_t{1} << 18;
 
-    FaultWindowRecorder recorder(cfg);
+    FaultWindowRecorder recorder(cfg, registeredStructures());
     std::uint64_t fed = 0;
     for (TargetStructure s : kCaches) {
         const std::uint64_t total = structureAceUnitsTotal(cfg, s);

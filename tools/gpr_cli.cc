@@ -115,19 +115,20 @@ cmdInfo(const std::string& gpu)
         const std::uint64_t bits = structureBitsTotal(c, spec.id);
         if (bits == 0)
             continue;
-        const char* kind = "control bits";
-        if (spec.kind == StructureKind::WordStorage)
-            kind = "word storage";
-        else if (spec.kind == StructureKind::CacheArray)
+        const char* kind = "word storage";
+        const char* windows = "exact dead windows";
+        if (spec.kind == StructureKind::CacheArray) {
             kind = spec.scope == StructureScope::Chip ? "cache, shared"
                                                       : "cache, per-SM";
-        const char* windows = "";
-        if (spec.exactDeadWindows) {
-            windows = spec.kind == StructureKind::CacheArray
-                          ? ", exact dead windows on data words"
-                          : ", exact dead windows";
+            windows = "exact dead windows on data words";
+        } else if (spec.id == TargetStructure::PredicateFile) {
+            kind = "control bits";
+            windows = "exact dead windows per predicate register";
+        } else if (spec.id == TargetStructure::SimtStack) {
+            kind = "control bits";
+            windows = "exact dead windows per PC/mask unit and stack entry";
         }
-        std::printf("    %-20s %10llu bits chip-wide (%s%s)\n",
+        std::printf("    %-20s %10llu bits chip-wide (%s, %s)\n",
                     std::string(spec.name).c_str(),
                     static_cast<unsigned long long>(bits), kind, windows);
     }
