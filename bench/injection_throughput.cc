@@ -1,7 +1,7 @@
 /**
  * @file
  * Injection-throughput benchmark: legacy from-scratch engine vs the
- * checkpoint-restore + early-termination engine, over the paper's
+ * checkpoint-restore engine with its prefilters, over the paper's
  * (workload, GPU, structure) grid.
  *
  * Every cell runs the *same* deterministically derived fault list
@@ -28,14 +28,14 @@
  * --behaviors selects the fault-behavior axis (default: all four, so
  * the persistent fast path is exercised out of the box).  Each behavior
  * re-runs every cell's fault list; transient cells use the dead-window
- * prefilter, persistent cells the value-residency prefilter and the
- * residency-gated hash early-out.  Throughput is reported per behavior
- * in the "behaviors" breakdown — together with each prefilter's and the
- * early-out's hit rate — and the legacy-vs-checkpoint equality check
- * doubles as a per-behavior differential test of the fast path.
+ * prefilter, persistent cells the value-residency prefilter.
+ * Throughput is reported per behavior in the "behaviors" breakdown —
+ * together with each prefilter's hit rate — and the legacy-vs-checkpoint
+ * equality check doubles as a per-behavior differential test of the
+ * fast path.
  *
  * The checkpointed engine's time is further broken down per phase
- * (prefilter / restore / replay / hash, from FaultInjector's phase
+ * (prefilter / restore / replay, from FaultInjector's phase
  * accounting), and each (workload, GPU) pair reports its resident
  * checkpoint-pack bytes: the delta-encoded size next to what the same
  * checkpoint cycles would cost as full snapshots.
@@ -82,7 +82,6 @@ struct CellResult
     std::size_t prefiltered = 0; ///< masked via dead windows (no sim)
     /** Masked via the persistent value-residency prefilter (no sim). */
     std::size_t residencyPrefiltered = 0;
-    std::size_t hashConverged = 0;
     double goldenSeconds = 0.0; ///< one golden run (scale reference)
     double packSeconds = 0.0;   ///< recording passes + pack assembly
     double packShare = 0.0;     ///< this cell's share of packSeconds
@@ -230,9 +229,6 @@ run(int argc, char** argv)
                         else if (r.shortcut ==
                                  InjectionShortcut::ValueResidency)
                             ++cell.residencyPrefiltered;
-                        else if (r.shortcut ==
-                                 InjectionShortcut::HashConvergence)
-                            ++cell.hashConverged;
                         if (r.outcome != legacy_results[i].outcome ||
                             r.trap != legacy_results[i].trap) {
                             cell.outcomesEqual = false;
@@ -260,6 +256,47 @@ run(int argc, char** argv)
     for (const CellResult& c : cells)
         phases_total += c.phases;
 
+    // Per-behavior totals, for the JSON "behaviors" array and the
+    // stderr table alike.
+    struct BehaviorTotals
+    {
+        FaultBehavior behavior = FaultBehavior::Transient;
+        std::size_t injections = 0;
+        double legacySeconds = 0.0;
+        double checkpointSeconds = 0.0; ///< pack shares included
+        InjectionPhaseStats phases;
+
+        double
+        prefilterRate() const
+        {
+            const double denom =
+                injections > 0 ? static_cast<double>(injections) : 1.0;
+            return (phases.deadWindowHits + phases.residencyHits) / denom;
+        }
+
+        double
+        speedup() const
+        {
+            return checkpointSeconds > 0
+                       ? legacySeconds / checkpointSeconds
+                       : 0.0;
+        }
+    };
+    std::vector<BehaviorTotals> totals;
+    for (FaultBehavior behavior : behaviors) {
+        BehaviorTotals t;
+        t.behavior = behavior;
+        for (const CellResult& c : cells) {
+            if (c.behavior != behavior)
+                continue;
+            t.injections += c.injections;
+            t.legacySeconds += c.legacySeconds;
+            t.checkpointSeconds += c.checkpointSeconds + c.packShare;
+            t.phases += c.phases;
+        }
+        totals.push_back(t);
+    }
+
     // ---- BENCH JSON ----
     std::printf("{\n  \"bench\": \"injection_throughput\",\n");
     std::printf("  \"checkpoints\": %u,\n", checkpoints);
@@ -277,23 +314,21 @@ run(int argc, char** argv)
             "\"structure\": \"%s\", \"behavior\": \"%s\", "
             "\"injections\": %zu, "
             "\"prefiltered\": %zu, \"residency_prefiltered\": %zu, "
-            "\"hash_converged\": %zu, "
             "\"golden_s\": %.6f, \"pack_s\": %.6f, "
             "\"pack_share_s\": %.6f, "
             "\"legacy_s\": %.6f, \"checkpoint_s\": %.6f, "
             "\"prefilter_s\": %.6f, \"restore_s\": %.6f, "
-            "\"replay_s\": %.6f, \"hash_s\": %.6f, "
+            "\"replay_s\": %.6f, "
             "\"pack_bytes\": %zu, \"pack_full_bytes\": %zu, "
             "\"legacy_ips\": %.2f, \"checkpoint_ips\": %.2f, "
             "\"speedup\": %.3f, \"outcomes_equal\": %s}%s\n",
             c.workload.c_str(), c.gpu.c_str(), c.structure.c_str(),
             std::string(faultBehaviorName(c.behavior)).c_str(),
             c.injections, c.prefiltered, c.residencyPrefiltered,
-            c.hashConverged, c.goldenSeconds,
-            c.packSeconds, c.packShare, c.legacySeconds,
+            c.goldenSeconds, c.packSeconds, c.packShare, c.legacySeconds,
             c.checkpointSeconds, c.phases.prefilterSeconds,
             c.phases.restoreSeconds, c.phases.replaySeconds,
-            c.phases.hashSeconds, c.packBytes, c.packFullBytes,
+            c.packBytes, c.packFullBytes,
             c.legacySeconds > 0 ? c.injections / c.legacySeconds : 0.0,
             ckpt_total_s > 0 ? c.injections / ckpt_total_s : 0.0,
             ckpt_total_s > 0 ? c.legacySeconds / ckpt_total_s : 0.0,
@@ -302,47 +337,32 @@ run(int argc, char** argv)
     }
     std::printf("  ],\n");
 
-    // Per-behavior aggregate with each fast path's hit rates: transient
+    // Per-behavior aggregate with its prefilter's hit rate: transient
     // quotes the dead-window prefilter, persistent behaviors the
-    // value-residency prefilter; the hash early-out applies to both.
+    // value-residency prefilter.
     std::printf("  \"behaviors\": [\n");
-    for (std::size_t b = 0; b < behaviors.size(); ++b) {
-        double legacy_b = 0.0, ckpt_b = 0.0;
-        std::size_t injections_b = 0;
-        InjectionPhaseStats phases_b;
-        for (const CellResult& c : cells) {
-            if (c.behavior != behaviors[b])
-                continue;
-            legacy_b += c.legacySeconds;
-            ckpt_b += c.checkpointSeconds + c.packShare;
-            injections_b += c.injections;
-            phases_b += c.phases;
-        }
-        const double denom =
-            injections_b > 0 ? static_cast<double>(injections_b) : 1.0;
+    for (std::size_t b = 0; b < totals.size(); ++b) {
+        const BehaviorTotals& t = totals[b];
         std::printf(
             "    {\"behavior\": \"%s\", \"injections\": %zu, "
             "\"dead_window_hits\": %llu, \"residency_hits\": %llu, "
-            "\"hash_converge_hits\": %llu, "
-            "\"prefilter_rate\": %.4f, \"early_out_rate\": %.4f, "
+            "\"prefilter_rate\": %.4f, "
             "\"legacy_s\": %.6f, \"checkpoint_s\": %.6f, "
             "\"prefilter_s\": %.6f, \"restore_s\": %.6f, "
-            "\"replay_s\": %.6f, \"hash_s\": %.6f, "
+            "\"replay_s\": %.6f, "
             "\"legacy_ips\": %.2f, \"checkpoint_ips\": %.2f, "
             "\"speedup\": %.3f}%s\n",
-            std::string(faultBehaviorName(behaviors[b])).c_str(),
-            injections_b,
-            static_cast<unsigned long long>(phases_b.deadWindowHits),
-            static_cast<unsigned long long>(phases_b.residencyHits),
-            static_cast<unsigned long long>(phases_b.hashConvergeHits),
-            (phases_b.deadWindowHits + phases_b.residencyHits) / denom,
-            phases_b.hashConvergeHits / denom, legacy_b, ckpt_b,
-            phases_b.prefilterSeconds, phases_b.restoreSeconds,
-            phases_b.replaySeconds, phases_b.hashSeconds,
-            legacy_b > 0 ? injections_b / legacy_b : 0.0,
-            ckpt_b > 0 ? injections_b / ckpt_b : 0.0,
-            ckpt_b > 0 ? legacy_b / ckpt_b : 0.0,
-            b + 1 < behaviors.size() ? "," : "");
+            std::string(faultBehaviorName(t.behavior)).c_str(),
+            t.injections,
+            static_cast<unsigned long long>(t.phases.deadWindowHits),
+            static_cast<unsigned long long>(t.phases.residencyHits),
+            t.prefilterRate(), t.legacySeconds, t.checkpointSeconds,
+            t.phases.prefilterSeconds, t.phases.restoreSeconds,
+            t.phases.replaySeconds,
+            t.legacySeconds > 0 ? t.injections / t.legacySeconds : 0.0,
+            t.checkpointSeconds > 0 ? t.injections / t.checkpointSeconds
+                                    : 0.0,
+            t.speedup(), b + 1 < totals.size() ? "," : "");
     }
     std::printf("  ],\n");
     std::printf("  \"aggregate\": {\n");
@@ -353,7 +373,6 @@ run(int argc, char** argv)
                 phases_total.prefilterSeconds);
     std::printf("    \"restore_s\": %.6f,\n", phases_total.restoreSeconds);
     std::printf("    \"replay_s\": %.6f,\n", phases_total.replaySeconds);
-    std::printf("    \"hash_s\": %.6f,\n", phases_total.hashSeconds);
     std::printf("    \"peak_pack_bytes\": %zu,\n", peak_pack_bytes);
     std::printf("    \"peak_pack_full_bytes\": %zu,\n",
                 peak_pack_full_bytes);
@@ -367,36 +386,17 @@ run(int argc, char** argv)
     std::printf("  }\n}\n");
 
     // ---- Per-phase table (stderr; stdout stays pure JSON for CI) ----
-    std::fprintf(stderr,
-                 "\n%-14s %6s %10s %10s %10s %10s %10s %8s %8s %8s\n",
+    std::fprintf(stderr, "\n%-14s %6s %10s %10s %10s %10s %8s %8s\n",
                  "behavior", "inj", "legacy_s", "prefilt_s", "restore_s",
-                 "replay_s", "hash_s", "prefilt%", "earlyout", "speedup");
-    for (FaultBehavior behavior : behaviors) {
-        double legacy_b = 0.0, ckpt_b = 0.0;
-        std::size_t injections_b = 0;
-        InjectionPhaseStats phases_b;
-        for (const CellResult& c : cells) {
-            if (c.behavior != behavior)
-                continue;
-            legacy_b += c.legacySeconds;
-            ckpt_b += c.checkpointSeconds + c.packShare;
-            injections_b += c.injections;
-            phases_b += c.phases;
-        }
-        const double denom =
-            injections_b > 0 ? static_cast<double>(injections_b) : 1.0;
+                 "replay_s", "prefilt%", "speedup");
+    for (const BehaviorTotals& t : totals) {
         std::fprintf(
             stderr,
-            "%-14s %6zu %10.3f %10.3f %10.3f %10.3f %10.3f %7.1f%% "
-            "%7.1f%% %7.2fx\n",
-            std::string(faultBehaviorName(behavior)).c_str(),
-            injections_b, legacy_b, phases_b.prefilterSeconds,
-            phases_b.restoreSeconds, phases_b.replaySeconds,
-            phases_b.hashSeconds,
-            100.0 * (phases_b.deadWindowHits + phases_b.residencyHits) /
-                denom,
-            100.0 * phases_b.hashConvergeHits / denom,
-            ckpt_b > 0 ? legacy_b / ckpt_b : 0.0);
+            "%-14s %6zu %10.3f %10.3f %10.3f %10.3f %7.1f%% %7.2fx\n",
+            std::string(faultBehaviorName(t.behavior)).c_str(),
+            t.injections, t.legacySeconds, t.phases.prefilterSeconds,
+            t.phases.restoreSeconds, t.phases.replaySeconds,
+            100.0 * t.prefilterRate(), t.speedup());
     }
     std::fprintf(stderr,
                  "peak checkpoint pack: %zu KiB delta-encoded "

@@ -1,9 +1,8 @@
 /**
  * @file
- * A cheap 64-bit state-hash accumulator used to fingerprint simulator
- * state along a run's trajectory (the checkpoint-restore injection
- * engine compares these fingerprints against the golden run's to detect
- * state convergence).
+ * A cheap 64-bit hash accumulator: the campaign hash of a study spec
+ * (core/study_spec.cc) and the device-state fingerprint that the
+ * snapshot/restore round-trip tests compare (Gpu::deviceStateHash).
  *
  * The construction is an xxHash-style round — XOR, *rotate*, multiply —
  * with a splitmix64 finaliser.  The rotation is load-bearing: a plain
@@ -15,9 +14,7 @@
  * cancellation require a full 64-bit coincidence.  Word arrays are
  * folded four lanes at a time so the multiply latency chain does not
  * bottleneck hashing megabyte-sized register files.  This is a
- * fingerprint, not a cryptographic hash: a collision mis-classifies one
- * injection, and at 64 bits the chance of any collision across even a
- * billion-injection study is ~1e-10.
+ * fingerprint, not a cryptographic hash.
  */
 
 #ifndef GPR_COMMON_HASH_HH
@@ -60,22 +57,6 @@ class StateHash
         mix(b);
         mix(c);
         mix(d);
-    }
-
-    /**
-     * Standalone finalised digest of a word array under @p salt — the
-     * page-digest primitive of the dirty-page incremental hash (see
-     * sim/state_page.hh).  Equivalent to mixWords on a fresh accumulator
-     * seeded with the salt, so it shares the 4-lane × 8-words-per-round
-     * batching and the rotate's diffusion guarantees.
-     */
-    static std::uint64_t
-    wordsDigest(const std::uint32_t* w, std::size_t n, std::uint64_t salt)
-    {
-        StateHash h;
-        h.mix(salt);
-        h.mixWords(w, n);
-        return h.value();
     }
 
     /** Finalised digest (the accumulator itself stays unperturbed). */

@@ -61,10 +61,9 @@ runCampaign(const GpuConfig& config, const WorkloadInstance& instance,
     // Golden run once up front (also validates the workload); the same
     // probe then records the campaign's shared checkpoint pack.  That
     // recording pass is a second full golden simulation — unavoidable,
-    // since checkpoint/hash-boundary spacing needs the golden cycle
-    // count before the recording run starts — and it amortises across
-    // the campaign's injections the same way the golden run itself
-    // does.
+    // since checkpoint spacing needs the golden cycle count before the
+    // recording run starts — and it amortises across the campaign's
+    // injections the same way the golden run itself does.
     std::shared_ptr<const CheckpointPack> pack;
     {
         FaultInjector probe(config, instance);

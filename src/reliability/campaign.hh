@@ -61,8 +61,8 @@ struct CampaignResult
     double wallSeconds = 0.0;
 
     /**
-     * Aggregate per-phase engine breakdown (prefilter / restore / replay
-     * / hash, plus shortcut hit counts).  Each worker accumulates into
+     * Aggregate per-phase engine breakdown (prefilter / restore /
+     * replay, plus shortcut hit counts).  Each worker accumulates into
      * its own injector and the partials merge under the result mutex at
      * join — never into shared state from inside the injection loop
      * (lint rule D4 / the TSan CI job).  Hit *counts* are a pure

@@ -1,8 +1,7 @@
 #include "reliability/fault_injector.hh"
 
 // gpr:lint-allow-file(D1): timing whitelist — PhaseClock reads feed only
-// the InjectionPhaseStats diagnostics, never outcomes, hashes, or RNG
-// draws.
+// the InjectionPhaseStats diagnostics, never outcomes or RNG draws.
 
 #include <algorithm>
 #include <chrono>
@@ -14,24 +13,6 @@
 
 namespace gpr {
 namespace {
-
-/**
- * Hash-boundary spacing for a golden run of @p golden_cycles on a chip
- * whose hashable state is @p state_words 32-bit words.  Boundaries
- * should be dense enough that a converged run exits soon after its flip
- * is erased (<= golden/256; the dirty-page digest cache makes a
- * boundary cost O(pages written since the last one), so they can be ~4x
- * denser than the full-rehash engine afforded), with a floor on
- * big-state/short-run cells where even the cached page-digest *sum*
- * (one add per page) would otherwise dominate.
- */
-Cycle
-chooseHashInterval(Cycle golden_cycles, std::uint64_t state_words)
-{
-    const Cycle by_run = golden_cycles / 256;
-    const Cycle by_state = static_cast<Cycle>(state_words / 2048);
-    return std::max<Cycle>(1, std::max(by_run, by_state));
-}
 
 /**
  * The chip-wide unit whose golden windows decide transient @p fault in
@@ -161,37 +142,21 @@ FaultInjector::buildCheckpointPack(
 
     auto pack = std::make_shared<CheckpointPack>();
     pack->goldenCycles = golden;
-    // tags + packed valid/dirty bitmaps + data, per cache instance
-    // (mirrors CacheModel::stateWords()).
-    const auto cache_words = [&](std::uint64_t lines) {
-        return lines * (1 + config_.cacheLineWords()) +
-               2 * ((lines + 31) / 32);
-    };
-    const std::uint64_t state_words =
-        static_cast<std::uint64_t>(config_.numSms) *
-            (config_.regFileWordsPerSm + config_.scalarRegWordsPerSm +
-             config_.smemWordsPerSm() +
-             cache_words(config_.l1dLinesPerSm()) +
-             cache_words(config_.l1iLinesPerSm())) +
-        cache_words(config_.l2Lines()) + instance_.image.sizeWords();
-    pack->hashInterval = chooseHashInterval(golden, state_words);
 
-    // One recording pass: windows, trajectory hashes, the cycle-0
-    // baseline and a delta at each checkpoint cycle.
+    // One recording pass: windows, the cycle-0 baseline and a delta at
+    // each checkpoint cycle.
     FaultWindowRecorder window_recorder(config_, structures);
     CheckpointRecorder recorder;
     recorder.checkpointCycles = evenCheckpointCycles(golden, checkpoints);
     RunOptions options;
     options.observer = &window_recorder;
     options.recorder = &recorder;
-    options.hashInterval = pack->hashInterval;
     const RunResult run = gpu_.run(instance_.program, instance_.launch,
                                    instance_.image, options);
     GPR_ASSERT(run.clean() && run.stats.cycles == golden,
                "recording pass diverged from the golden run — the "
                "simulator is not deterministic");
     window_recorder.finalize(pack->windows);
-    pack->hashes = std::move(recorder.hashes);
     pack->baseline = std::move(recorder.baseline);
     pack->deltas = std::move(recorder.deltas);
     GPR_ASSERT(!pack->deltas.empty() && pack->deltas.front().now == 0,
@@ -241,7 +206,6 @@ FaultInjector::inject(const FaultSpec& fault)
     // observed() conservatively.  The residency prefilter needs a read
     // overlay: it is sound only where forcing leaves the raw word alone.
     ++phase_stats_.injections;
-    Cycle converge_min = 0; // persistent early-out threshold (0 = none)
     const StructureSpec& spec = structureSpec(fault.structure);
     if (pack_ && !persistent) {
         if (const std::optional<std::uint64_t> unit =
@@ -289,13 +253,6 @@ FaultInjector::inject(const FaultSpec& fault)
             result.shortcut = InjectionShortcut::ValueResidency;
             return result;
         }
-        // Not provably benign at the fault cycle, but past `agree` a
-        // trajectory-hash match implies golden continuation — arm the
-        // early-out when a comparable boundary exists at all.
-        if (agree != FaultWindows::kNeverAgrees &&
-            agree <= pack_->goldenCycles) {
-            converge_min = agree;
-        }
     }
 
     RunOptions options;
@@ -310,21 +267,6 @@ FaultInjector::inject(const FaultSpec& fault)
     bool via_scratch = false;
     const auto run_start = PhaseClock::now();
     if (pack_) {
-        // Hash early-out: unconditional for transient faults; for
-        // persistent ones only past the residency threshold, where a
-        // trajectory-hash match provably pins the rest of the run to
-        // the golden trajectory.
-        // Restoring from the nearest checkpoint is exact either way
-        // (the trajectory is golden up to the fault cycle regardless
-        // of what the fault does later).
-        if (!persistent) {
-            options.hashInterval = pack_->hashInterval;
-            options.goldenHashes = &pack_->hashes;
-        } else if (converge_min > fault.cycle) {
-            options.hashInterval = pack_->hashInterval;
-            options.goldenHashes = &pack_->hashes;
-            options.convergeMinCycle = converge_min;
-        }
         // Nearest delta checkpoint at or before the fault cycle;
         // everything before it is bit-identical to the golden run, so
         // the anchored restore skips it outright, touching only the
@@ -341,24 +283,13 @@ FaultInjector::inject(const FaultSpec& fault)
     }
     const double run_seconds = secondsSince(run_start);
     phase_stats_.restoreSeconds += run.restoreSeconds;
-    phase_stats_.hashSeconds += run.hashSeconds;
-    phase_stats_.replaySeconds += std::max(
-        0.0, run_seconds - run.restoreSeconds - run.hashSeconds);
+    phase_stats_.replaySeconds +=
+        std::max(0.0, run_seconds - run.restoreSeconds);
 
     InjectionResult result;
     result.fault = fault;
     result.trap = run.trap;
-    if (run.convergedToGolden) {
-        result.shortcut = InjectionShortcut::HashConvergence;
-        ++phase_stats_.hashConvergeHits;
-    }
-    if (run.convergedToGolden) {
-        // State rejoined the golden trajectory: the remainder of the run
-        // is the golden run's, whose output verified — Masked by
-        // construction, no output comparison needed (or possible: the
-        // run stopped before producing its outputs).
-        result.outcome = FaultOutcome::Masked;
-    } else if (!run.clean()) {
+    if (!run.clean()) {
         result.outcome = FaultOutcome::Due;
     } else if (verifyOutputs(instance_,
                              via_scratch ? scratch_ : run.memory)) {

@@ -42,13 +42,12 @@ faultOutcomeName(FaultOutcome o)
 }
 
 /** How the checkpoint engine classified an injection Masked without
- *  simulating to completion.  Engine metadata only: the outcome is
- *  identical to a full from-scratch simulation either way. */
+ *  simulating it.  Engine metadata only: the outcome is identical to a
+ *  full from-scratch simulation either way. */
 enum class InjectionShortcut : std::uint8_t
 {
-    None,            ///< simulated to trap/completion (or legacy engine)
-    DeadWindow,      ///< outside every observability window: no simulation
-    HashConvergence, ///< post-fault state hash rejoined the golden run
+    None,       ///< simulated to trap/completion (or legacy engine)
+    DeadWindow, ///< outside every observability window: no simulation
     /** Persistent prefilter: every golden read of the stuck word at or
      *  after the fault cycle already observes the forced value, so the
      *  forcing never changes a value entering computation — exactly
@@ -64,7 +63,7 @@ struct InjectionResult
     TrapKind trap = TrapKind::None;
     InjectionShortcut shortcut = InjectionShortcut::None;
 
-    /** Classified Masked without a full simulation. */
+    /** Classified Masked without simulation. */
     bool
     converged() const
     {
@@ -75,21 +74,16 @@ struct InjectionResult
 /**
  * One golden run's checkpoint pack (delta-encoded): a single full
  * baseline at cycle 0 plus per-checkpoint dirty page sets against it,
- * the golden trajectory's state hash at every hashInterval boundary,
  * and the exact observability windows.  Built once per (workload, GPU,
  * workloadSeed) cell and shared (read-only) by every injector of that
  * cell.  An injection consults the observability windows first (a fault
  * outside every window is exactly Masked with zero simulation), then
  * delta-restores the nearest checkpoint at or before its fault cycle
- * and early-outs as soon as its post-fault state hash rejoins the
- * golden trajectory.
+ * and simulates to the end of the run.
  */
 struct CheckpointPack
 {
     Cycle goldenCycles = 0;
-    Cycle hashInterval = 0;
-    /** Golden state hash at cycle k*hashInterval, k = 1, 2, ... */
-    std::vector<std::uint64_t> hashes;
     /** The full cycle-0 state every delta is encoded against. */
     GpuCheckpoint baseline;
     /** Delta checkpoints ascending by .now, starting with the trivial
@@ -132,12 +126,13 @@ struct InjectionPhaseStats
      *  per-behavior hit-rate table). */
     std::uint64_t deadWindowHits = 0;
     std::uint64_t residencyHits = 0;
-    /** Runs ended early by a golden-hash match (any behavior). */
+    /** Always 0: kept only because bench/e2e/study_bench.cc reads it. */
     std::uint64_t hashConvergeHits = 0;
     double prefilterSeconds = 0.0; ///< dead-window + residency queries
     double restoreSeconds = 0.0;   ///< checkpoint restore (full or delta)
-    double hashSeconds = 0.0;      ///< trajectory hashing in injected runs
-    double replaySeconds = 0.0;    ///< simulation proper (run - the above)
+    /** Always 0: kept only because bench/e2e/study_bench.cc reads it. */
+    double hashSeconds = 0.0;
+    double replaySeconds = 0.0;    ///< simulation proper (run - restore)
 
     void
     operator+=(const InjectionPhaseStats& o)
@@ -145,10 +140,8 @@ struct InjectionPhaseStats
         injections += o.injections;
         deadWindowHits += o.deadWindowHits;
         residencyHits += o.residencyHits;
-        hashConvergeHits += o.hashConvergeHits;
         prefilterSeconds += o.prefilterSeconds;
         restoreSeconds += o.restoreSeconds;
-        hashSeconds += o.hashSeconds;
         replaySeconds += o.replaySeconds;
     }
 };
@@ -192,14 +185,13 @@ class FaultInjector
     /**
      * Record a checkpoint pack in one golden pass and arm this injector
      * with it.  The pass records the observability windows, the
-     * per-interval trajectory hashes, the cycle-0 baseline and a delta
-     * checkpoint at each of n = min(@p checkpoints, kMaxCheckpoints,
-     * golden - 1) evenly spaced cycles golden*i/(n+1), i = 1..n, so it
-     * needs only the golden cycle count (runs or adopts it first).
-     * Returns the pack so sibling injectors of the same cell can adopt
-     * it instead of re-recording.  @p checkpoints == 0 yields a
-     * baseline-only pack (anchored restarts from cycle 0, hash
-     * early-out, no mid-run skipping).  Windows and value residency are
+     * cycle-0 baseline and a delta checkpoint at each of
+     * n = min(@p checkpoints, kMaxCheckpoints, golden - 1) evenly spaced
+     * cycles golden*i/(n+1), i = 1..n, so it needs only the golden cycle
+     * count (runs or adopts it first).  Returns the pack so sibling
+     * injectors of the same cell can adopt it instead of re-recording.
+     * @p checkpoints == 0 yields a baseline-only pack (anchored restarts
+     * from cycle 0, no mid-run skipping).  Windows and value residency are
      * recorded for @p structures only, the ones the pack's injections
      * target; a fault in any other structure gets no prefilter.
      */
@@ -224,22 +216,16 @@ class FaultInjector
     /**
      * Inject @p fault and classify the outcome.  With a checkpoint pack
      * armed, the run restores the nearest checkpoint <= fault.cycle and
-     * early-outs on state convergence; the classification is identical
-     * to the from-scratch path either way (outcomes depend only on
-     * trap + final memory, and a state-hash match pins both to the
-     * golden run's).  Persistent behaviors (stuck-at / intermittent)
-     * get persistence-sound equivalents on word-granular storage: the
-     * value-residency prefilter classifies a fault whose forced value
-     * agrees with every remaining golden read as Masked with zero
-     * simulation, and past the residency agree-from cycle the run
-     * compares its trajectory hash against golden and early-outs on a
-     * match.
-     * A transient flip outside every window of its unit is Masked with
-     * zero simulation: a word of word storage, a predicate register,
-     * the SIMT PC/mask unit or a stack entry, or a cache data word.
-     * Cache metadata bits, groups spanning two such units and
-     * persistent cache and control faults keep the restore but get no
-     * prefilter.
+     * simulates to the end, so the classification (trap, then
+     * verifyOutputs) is identical to the from-scratch path's.  Two
+     * prefilters classify Masked with zero simulation instead.  A
+     * transient flip outside every window of its unit: a word of word
+     * storage, a predicate register, the SIMT PC/mask unit or a stack
+     * entry, or a cache data word.  And a persistent (stuck-at /
+     * intermittent) fault in word storage whose forced value agrees
+     * with every remaining golden read (value residency).  Cache
+     * metadata bits, groups spanning two such units and persistent
+     * cache and control faults keep the restore but get no prefilter.
      */
     InjectionResult inject(const FaultSpec& fault);
 

@@ -12,7 +12,7 @@ namespace {
  * Safety cap on recorded intervals (~1 GB of windows at 16 B each
  * would be far past it).  A pathological run that exceeds it simply
  * loses the prefilter — observed() turns conservative — while the
- * checkpoint/hash engine keeps working.
+ * checkpoint engine keeps working.
  */
 constexpr std::size_t kMaxIntervals = std::size_t{1} << 24;
 

@@ -29,8 +29,8 @@
  *
  * State lives in ONE flat word array tracked by ONE PageTracker — tags,
  * then the packed valid bitmap, then the packed dirty bitmap, then the
- * data words — so dirty-page hashing, delta/CoW checkpoints and restore
- * all reuse the storage machinery verbatim (a cache's delta is a plain
+ * data words — so delta/CoW checkpoints and restore all reuse the
+ * storage machinery verbatim (a cache's delta is a plain
  * StorageDelta, like MemoryImage's).
  */
 
@@ -169,16 +169,12 @@ class CacheModel
     std::uint32_t lines() const { return lines_; }
     std::uint32_t lineWords() const { return lineWords_; }
 
-    /**
-     * Fold the full cache state (tags, valid/dirty bitmaps, data) into
-     * @p h as a sum of cached per-page digests — cost proportional to
-     * the pages written since the previous hash.
-     */
+    /** Fold the full cache state (tags, valid/dirty bitmaps, data)
+     *  into @p h. */
     void
     hashInto(StateHash& h) const
     {
-        h.mix(words_.size());
-        h.mix(pages_.digestSum(words_));
+        h.mixWords(words_.data(), words_.size());
     }
 
     // --- Delta/CoW checkpoint support (mirrors MemoryImage) -------------
@@ -202,13 +198,6 @@ class CacheModel
 
     /** Resident footprint of the full cache (pack accounting). */
     std::size_t bytes() const { return words_.size() * sizeof(Word); }
-
-    /** Backing words including metadata (pack/hash-interval sizing). */
-    std::uint32_t
-    stateWords() const
-    {
-        return static_cast<std::uint32_t>(words_.size());
-    }
 
   private:
     // Flat-array layout: [tags | valid bitmap | dirty bitmap | data].

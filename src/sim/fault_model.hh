@@ -57,7 +57,7 @@ std::string_view targetStructureName(TargetStructure s);
  *
  *  - **Transient**: one XOR at the fault cycle; the classic SEU model
  *    every prior campaign used.  Served by the checkpoint engine's
- *    dead-window prefilter and hash early-out.
+ *    dead-window prefilter.
  *  - **StuckAt0 / StuckAt1**: the faulty cell is forced to 0/1 from the
  *    fault cycle to the end of the run, re-asserted on every access of
  *    the cell (hard/permanent fault).
@@ -80,11 +80,9 @@ constexpr std::size_t kNumFaultBehaviors = 4;
 
 /** Persistent behaviors outlive the fault cycle: the forcing is
  *  re-asserted on every access, so the transient dead-window prefilter
- *  does not apply (a "dead" interval ends at the next re-assertion) and
- *  the *raw* state can never literally rejoin the golden trajectory.
- *  They get persistence-sound equivalents instead: the value-residency
- *  prefilter (FaultWindows::stuckAgreeCycle) and, past the residency
- *  agree-from cycle, an overlay-aware hash early-out (see
+ *  does not apply (a "dead" interval ends at the next re-assertion).
+ *  Word storage gets a persistence-sound equivalent instead, the
+ *  value-residency prefilter (FaultWindows::stuckAgreeCycle; see
  *  FaultInjector::inject). */
 constexpr bool
 faultBehaviorPersistent(FaultBehavior b)

@@ -155,48 +155,16 @@ Gpu::restoreDelta(const GpuCheckpointDelta& d, MemoryImage& image)
     image.applyDelta(d.memory);
 }
 
-void
-Gpu::hashDeviceInto(StateHash& h) const
+std::uint64_t
+Gpu::deviceStateHash() const
 {
+    StateHash h;
     for (const auto& sm : sms_)
         sm->hashInto(h);
     if (l2_)
         l2_->hashInto(h);
     h.mix(next_block_);
     h.mix(dispatch_rr_);
-}
-
-std::uint64_t
-Gpu::deviceStateHash() const
-{
-    StateHash h;
-    hashDeviceInto(h);
-    return h.value();
-}
-
-/**
- * The trajectory state hash: everything that determines the remainder of
- * a run.  Covers the device (storage contents incl. free space, free
- * lists, active blocks, used warp contexts with scoreboards, residency,
- * scheduler cursors, dispatch state), the global-memory image, the
- * MemPipe timestamp and the completed-block count.  Deliberately NOT
- * covered: performance counters and occupancy integrators — they are
- * write-only accumulators that never feed back into execution, and
- * excluding them lets a run whose *architectural* state rejoined the
- * golden trajectory be classified Masked even though its counters
- * differ.  Hash equality at a common cycle therefore implies the two
- * runs produce identical traps and identical final memory — which is
- * exactly (and only) what outcome classification consumes.
- */
-std::uint64_t
-Gpu::runStateHash(const RunContext& ctx, const MemoryImage& image,
-                  std::uint64_t blocks_completed) const
-{
-    StateHash h;
-    hashDeviceInto(h);
-    h.mix(ctx.memPipe.nextFree);
-    image.hashInto(h);
-    h.mix(blocks_completed);
     return h.value();
 }
 
@@ -238,11 +206,6 @@ Gpu::run(const Program& prog, const LaunchConfig& launch, MemoryImage image,
                "delta resume and imageInOut come as a pair");
     GPR_ASSERT(!options.recorder || !options.fault,
                "golden recordings are taken on the fault-free run");
-    GPR_ASSERT(!options.fault || !options.fault->persistent() ||
-                   !options.goldenHashes ||
-                   options.convergeMinCycle > options.fault->cycle,
-               "persistent hash early-out requires a residency-sound "
-               "convergence threshold past the fault cycle");
     if (options.fault &&
         options.fault->behavior == FaultBehavior::Intermittent) {
         GPR_ASSERT(options.fault->intermittentPeriod > 0 &&
@@ -366,13 +329,6 @@ Gpu::run(const Program& prog, const LaunchConfig& launch, MemoryImage image,
         }
     }
 
-    // State-hash boundaries at cycles k*hashInterval (k >= 1).  The loop
-    // is clamped to land exactly on each boundary so recording and
-    // comparing runs fingerprint identical cycles; stepping through an
-    // extra idle cycle never changes the simulation.
-    const Cycle hash_interval = options.hashInterval;
-    Cycle next_boundary =
-        hash_interval ? (now / hash_interval + 1) * hash_interval : 0;
     std::size_t rec_idx = 0;
     auto finalize = [&](TrapKind trap) {
         result.trap = trap;
@@ -435,38 +391,6 @@ Gpu::run(const Program& prog, const LaunchConfig& launch, MemoryImage image,
             ++rec_idx;
         }
 
-        if (hash_interval && now == next_boundary) {
-            if (options.recorder) {
-                const auto t0 = PhaseClock::now();
-                options.recorder->hashes.push_back(runStateHash(
-                    ctx, *img, result.stats.blocksCompleted));
-                result.hashSeconds += secondsSince(t0);
-            } else if (options.goldenHashes && !fault_pending &&
-                       now >= options.convergeMinCycle) {
-                // The flip (if any) landed earlier this iteration, so the
-                // digest reflects post-fault state; matching the golden
-                // fingerprint here means the remaining trajectory is the
-                // golden one — classify without simulating it.  For a
-                // persistent fault the comparison additionally waits for
-                // convergeMinCycle, past which value residency makes a
-                // match imply golden continuation.
-                const std::size_t idx =
-                    static_cast<std::size_t>(now / hash_interval) - 1;
-                const auto t0 = PhaseClock::now();
-                const bool converged =
-                    idx < options.goldenHashes->size() &&
-                    (*options.goldenHashes)[idx] ==
-                        runStateHash(ctx, *img,
-                                     result.stats.blocksCompleted);
-                result.hashSeconds += secondsSince(t0);
-                if (converged) {
-                    result.convergedToGolden = true;
-                    return finalize(TrapKind::None);
-                }
-            }
-            next_boundary += hash_interval;
-        }
-
         bool issued = false;
         Cycle next_event = std::numeric_limits<Cycle>::max();
         for (auto& sm : sms_) {
@@ -507,10 +431,7 @@ Gpu::run(const Program& prog, const LaunchConfig& launch, MemoryImage image,
         if (fault_pending && options.fault->cycle > now) {
             next = std::min(next, std::max(now + 1, options.fault->cycle));
         }
-        // Land exactly on hash boundaries and requested checkpoint
-        // cycles (both are > now here by construction).
-        if (hash_interval)
-            next = std::min(next, next_boundary);
+        // Land exactly on requested checkpoint cycles.
         if (options.recorder &&
             rec_idx < options.recorder->checkpointCycles.size()) {
             next = std::min(

@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "arch/gpu_config.hh"
-#include "common/hash.hh"
 #include "sim/fault_model.hh"
 #include "sim/launch.hh"
 #include "sim/memory_image.hh"
@@ -104,9 +103,7 @@ struct GpuCheckpointDelta
 /**
  * Output channel for a golden checkpoint-recording pass: Gpu::run
  * captures the cycle-0 baseline (after initial dispatch), then encodes
- * a delta against it at cycle 0 and at each requested cycle, and
- * records the trajectory hash at every RunOptions::hashInterval
- * boundary.
+ * a delta against it at cycle 0 and at each requested cycle.
  */
 struct CheckpointRecorder
 {
@@ -117,10 +114,6 @@ struct CheckpointRecorder
     /** Delta checkpoints: cycle 0, then each reached requested cycle
      *  (output). */
     std::vector<GpuCheckpointDelta> deltas;
-    /** The golden trajectory's state hash at cycle k*hashInterval for
-     *  k = 1, 2, ...: element k-1 is the digest at the *start* of that
-     *  cycle (output; empty when hashInterval is 0). */
-    std::vector<std::uint64_t> hashes;
 };
 
 struct RunOptions
@@ -128,10 +121,7 @@ struct RunOptions
     /** Hard cycle budget; 0 selects the default cap (50M cycles). */
     Cycle maxCycles = 0;
     /** Optional fault to inject during the run (behavior × pattern ×
-     *  target; see sim/fault_model.hh).  A persistent fault may pair
-     *  with goldenHashes only when convergeMinCycle carries a
-     *  residency-sound threshold past the fault cycle (the injector's
-     *  persistent fast path); transient faults need no threshold. */
+     *  target; see sim/fault_model.hh). */
     std::optional<FaultSpec> fault;
     /** Optional access-trace observer (ACE analysis). */
     SimObserver* observer = nullptr;
@@ -154,23 +144,9 @@ struct RunOptions
      * image across a campaign's injections without per-run copies.
      */
     MemoryImage* imageInOut = nullptr;
-    /** Record the baseline, the delta checkpoints and the trajectory
-     *  hashes along this (fault-free) run. */
+    /** Record the baseline and the delta checkpoints along this
+     *  (fault-free) run. */
     CheckpointRecorder* recorder = nullptr;
-    /** State-hash boundary spacing in cycles; 0 disables hashing.  Must
-     *  be identical between the recording run and any comparing run. */
-    Cycle hashInterval = 0;
-    /** Golden trajectory hashes to compare against at each boundary
-     *  after the fault has been applied; on a match the run ends early
-     *  with RunResult::convergedToGolden set. */
-    const std::vector<std::uint64_t>* goldenHashes = nullptr;
-    /** First cycle at which a goldenHashes match may end the run.  0
-     *  (transient faults) compares at every post-fault boundary.  For
-     *  persistent faults the injector sets this to the fault's
-     *  value-residency agree-from cycle: from there on every golden
-     *  read of the stuck word observes the forced value, so a matching
-     *  hash pins the rest of the run to the golden trajectory. */
-    Cycle convergeMinCycle = 0;
 };
 
 struct RunResult
@@ -178,17 +154,10 @@ struct RunResult
     TrapKind trap = TrapKind::None;
     SimStats stats;
     MemoryImage memory;
-    /** The post-fault state hash matched the golden trajectory: the rest
-     *  of the run is bit-identical to the golden run, so the outcome is
-     *  Masked without simulating (or verifying) the remainder.  stats
-     *  and memory hold the state at the convergence point. */
-    bool convergedToGolden = false;
 
     /** Wall-clock seconds the run spent restoring its delta checkpoint
      *  — the injection-throughput bench's per-phase breakdown. */
     double restoreSeconds = 0.0;
-    /** Wall-clock seconds spent computing trajectory state hashes. */
-    double hashSeconds = 0.0;
 
     bool clean() const { return trap == TrapKind::None; }
 };
@@ -235,11 +204,10 @@ class Gpu
     void anchorTo(const GpuCheckpoint& baseline);
 
     /**
-     * Fingerprint of the device portion (SMs + dispatch state) — the
-     * round-trip invariant: restore(cp) always reproduces the same
-     * deviceStateHash().  The run loop's trajectory hash additionally
-     * folds in the memory image, MemPipe and completed-block count; see
-     * Gpu::runStateHash in gpu.cc for the full definition.
+     * Fingerprint of the device portion (SMs, the L2 and dispatch
+     * state), recomputed from scratch on each call — the round-trip
+     * invariant: restore(cp) always reproduces the same
+     * deviceStateHash().
      */
     std::uint64_t deviceStateHash() const;
 
@@ -247,10 +215,6 @@ class Gpu
     void applyFault(const FaultSpec& fault);
     void restoreDelta(const GpuCheckpointDelta& d, MemoryImage& image);
     void dispatchBlocks(RunContext& ctx, Cycle now);
-    void hashDeviceInto(StateHash& h) const;
-    std::uint64_t runStateHash(const RunContext& ctx,
-                               const MemoryImage& image,
-                               std::uint64_t blocks_completed) const;
 
     const GpuConfig& config_;
     std::vector<std::unique_ptr<SmCore>> sms_;

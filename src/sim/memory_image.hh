@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "common/bitutils.hh"
-#include "common/hash.hh"
 #include "common/logging.hh"
 #include "common/types.hh"
 #include "sim/state_page.hh"
@@ -129,18 +128,6 @@ class MemoryImage
 
     /** Raw word array (whole-image comparisons, output checking). */
     const std::vector<Word>& words() const { return words_; }
-
-    /**
-     * Fold the image contents into @p h as a sum of cached per-page
-     * digests (see sim/state_page.hh) — cost proportional to the pages
-     * written since the previous hash, not to the image size.
-     */
-    void
-    hashInto(StateHash& h) const
-    {
-        h.mix(words_.size());
-        h.mix(pages_.digestSum(words_));
-    }
 
     // --- Delta/CoW checkpoint support (mirrors WordStorage) -------------
 

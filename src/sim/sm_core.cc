@@ -196,7 +196,7 @@ SmCore::mutateBit(TargetStructure structure, BitIndex bit, BitMutation mut)
         const auto lane = static_cast<unsigned>(rem % config_.warpWidth);
         // A flip in an unused warp slot is dead state: dispatch fully
         // reinitialises the context before reuse, and unused slots are
-        // (deliberately) outside the trajectory hash.
+        // (deliberately) outside the state fingerprint.
         mut_mask(warps_[slot].preds[preg], lane);
         return;
       }

@@ -208,8 +208,7 @@ class SmCore
      * bitmaps/counters, and the scheduler cursors.  Deliberately NOT
      * hashed: the contents of inactive block slots and unused warp
      * slots — dispatch fully reinitialises them before reuse, so their
-     * stale bytes can never influence future execution and would only
-     * produce false "diverged" verdicts.
+     * stale bytes can never influence future execution.
      */
     void hashInto(StateHash& h) const;
 

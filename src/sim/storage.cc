@@ -90,12 +90,7 @@ WordStorage::allocate(std::uint32_t count)
 void
 WordStorage::hashInto(StateHash& h) const
 {
-    // Word contents via the dirty-page digest cache: only pages written
-    // since the previous hashInto() are re-digested.  The array length
-    // is mixed alongside so the sum formulation keeps the same framing
-    // guarantees mixWords provided.
-    h.mix(words_.size());
-    h.mix(pages_.digestSum(words_));
+    h.mixWords(words_.data(), words_.size());
     h.mix(free_list_.size());
     for (const Range& r : free_list_) {
         h.mix(r.base);

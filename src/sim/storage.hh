@@ -82,15 +82,9 @@ class WordStorage
      * (allocated *and* free — free words persist and may be observed by
      * a later block that reads before writing, so they are part of the
      * architecturally visible state) plus the free list (fragmentation
-     * steers future allocations, hence future behaviour).  The word
-     * contents enter as a sum of cached per-page digests, so the cost is
-     * proportional to the pages written since the previous hash, not to
-     * the storage size.  The stuck-bit overlay is NOT hashed: the raw
-     * word is the retained state (what an intermittent fault re-exposes
-     * when inactive).  A persistent run compares this raw hash against
-     * golden only past its residency agree cycle, where every later
-     * golden read of the stuck bits already observes the forced value
-     * (see the persistent fast path in reliability/fault_injector.hh).
+     * steers future allocations, hence future behaviour).  The
+     * stuck-bit overlay is NOT hashed: the raw word is the retained
+     * state (what an intermittent fault re-exposes when inactive).
      */
     void hashInto(StateHash& h) const;
 

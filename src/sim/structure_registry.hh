@@ -30,8 +30,7 @@
  *    writeback), and stores and line refills overwrite it, so data words
  *    get exact dead windows like word storage.  Metadata faults act
  *    through address comparison rather than reads, so tag, valid and
- *    dirty bits have none; checkpoint restore and the hash early-out
- *    still apply to them.
+ *    dirty bits have none; checkpoint restore still applies to them.
  *
  * The checkpoint engine's zero-simulation prefilter rests on these
  * windows, for transient faults only (a persistent fault's cell is never

@@ -261,10 +261,9 @@ TEST(CacheFaults, DifferentialAcrossEnginesAllBehaviors)
     // For every fault behavior, an injection into l1d/l1i/l2 through
     // the checkpoint-restore engine must classify exactly like the
     // from-scratch engine.  Transient flips in a cache data word may be
-    // classified by its dead windows or converge onto the golden
-    // trajectory hash; persistent cache faults get neither the
-    // residency prefilter (their forcing mutates the raw line) nor the
-    // early-out, so they never shortcut.
+    // classified by its dead windows; persistent cache faults get no
+    // residency prefilter (their forcing mutates the raw line), so they
+    // never shortcut.
     constexpr std::size_t kInjections = 10;
     constexpr FaultBehavior kBehaviors[] = {
         FaultBehavior::Transient, FaultBehavior::StuckAt0,

@@ -9,7 +9,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <limits>
 #include <map>
 #include <optional>
@@ -32,17 +31,9 @@ buildFor(const GpuConfig& cfg, const char* workload)
     return makeWorkload(workload)->build(cfg.dialect, {});
 }
 
-/** Hash-boundary spacing of the recordings below. */
-Cycle
-hashIntervalOf(const RunResult& golden)
-{
-    return std::max<Cycle>(1, golden.stats.cycles / 16);
-}
-
 /**
  * Record the cycle-0 baseline of @p inst plus delta checkpoints at a
- * quarter, half and three quarters of @p golden's run, and the golden
- * trajectory hashes.
+ * quarter, half and three quarters of @p golden's run.
  */
 CheckpointRecorder
 recordCheckpoints(Gpu& gpu, const WorkloadInstance& inst,
@@ -54,7 +45,6 @@ recordCheckpoints(Gpu& gpu, const WorkloadInstance& inst,
     recorder.checkpointCycles = {g / 4, g / 2, (3 * g) / 4};
     RunOptions options;
     options.recorder = &recorder;
-    options.hashInterval = hashIntervalOf(golden);
     const RunResult rec = gpu.run(inst.program, inst.launch, inst.image,
                                   options);
     EXPECT_TRUE(rec.clean());
@@ -105,7 +95,6 @@ TEST(Checkpoint, PackShapeAndAdoption)
     const auto pack = injector.buildCheckpointPack(4);
     ASSERT_TRUE(pack);
     EXPECT_EQ(pack->goldenCycles, injector.goldenCycles());
-    EXPECT_GT(pack->hashInterval, 0u);
     EXPECT_TRUE(pack->windows.enabled());
     EXPECT_GT(pack->windows.intervalCount(), 0u);
 
@@ -135,9 +124,8 @@ TEST(Checkpoint, PackShapeAndAdoption)
 
 /**
  * Every recorded delta checkpoint reproduces the uninterrupted golden
- * run: its state hash matches the golden trajectory's at the next
- * boundary (dead state included), and resumed to the end it gives the
- * same trap, cycles, warp instructions and final image.  Swept over a
+ * run: resumed to the end it gives the same trap, cycles, warp
+ * instructions and final image.  Swept over a
  * chip with L1/L2 caches (small Fermi) and one with the scalar
  * register file (small Tahiti).  The deltas resume in descending order
  * on one anchored device, and the cycle-0 delta resumes again after
@@ -166,25 +154,17 @@ TEST(Checkpoint, DeltaResumeReproducesGolden)
             MemoryImage scratch = rec.baseline.memory;
             scratch.markCleanForRestore();
             auto resume = [&](const GpuCheckpointDelta& d,
-                              std::optional<FaultSpec> fault,
-                              bool hash_early_out) {
+                              std::optional<FaultSpec> fault) {
                 RunOptions options;
                 options.resumeDelta = &d;
                 options.imageInOut = &scratch;
                 options.fault = fault;
                 options.maxCycles = 4 * golden.stats.cycles;
-                if (hash_early_out) {
-                    options.hashInterval = hashIntervalOf(golden);
-                    options.goldenHashes = &rec.hashes;
-                }
                 return gpu.run(inst.program, inst.launch, MemoryImage{},
                                options);
             };
             auto expect_golden = [&](std::size_t i) {
-                const GpuCheckpointDelta& d = rec.deltas[i];
-                EXPECT_TRUE(resume(d, std::nullopt, true).convergedToGolden)
-                    << "delta " << i;
-                const RunResult r = resume(d, std::nullopt, false);
+                const RunResult r = resume(rec.deltas[i], std::nullopt);
                 EXPECT_EQ(r.trap, golden.trap) << "delta " << i;
                 EXPECT_EQ(r.stats.cycles, golden.stats.cycles)
                     << "delta " << i;
@@ -216,7 +196,7 @@ TEST(Checkpoint, DeltaResumeReproducesGolden)
             dead.bitIndex = gpu.structureBits(dead.structure) - 1;
             dead.behavior = FaultBehavior::Transient;
             for (const FaultSpec& fault : {stuck, dead}) {
-                resume(rec.deltas[1], fault, false);
+                resume(rec.deltas[1], fault);
                 expect_golden(0);
             }
         }
@@ -288,8 +268,9 @@ TEST(Checkpoint, DifferentialOutcomeEquality)
  * outcome equals the legacy from-scratch engine's for each registry
  * structure x {transient, stuck-at-0, stuck-at-1, intermittent}.
  * Persistent behaviors exercise the restore path hardest — every
- * injection delta-restores and replays to completion (no hash early-out)
- * — so any page the revert missed would flip an outcome here.
+ * injection the residency prefilter leaves delta-restores and replays
+ * to completion — so any page the revert missed would flip an outcome
+ * here.
  */
 TEST(Checkpoint, DeltaRestoreAgreesAcrossBehaviors)
 {
@@ -330,60 +311,6 @@ TEST(Checkpoint, DeltaRestoreAgreesAcrossBehaviors)
                 EXPECT_EQ(a.trap, b.trap);
             }
         }
-    }
-}
-
-/**
- * The incremental dirty-page hash equals a from-scratch hash of the same
- * contents: interleaving hashInto() with randomized writes (exercising
- * the digest cache at every state) always matches a freshly built
- * duplicate that hashes once at the end.
- */
-TEST(Checkpoint, DirtyPageHashMatchesFreshHash)
-{
-    Rng rng(0x9A6E5);
-    WordStorage a(1000); // intentionally not a page multiple
-    WordStorage b(1000);
-    for (int round = 0; round < 20; ++round) {
-        for (int w = 0; w < 37; ++w) {
-            const auto idx = static_cast<std::uint32_t>(rng.below(1000));
-            const auto val = static_cast<Word>(rng.below(1ull << 32));
-            a.write(idx, val);
-            b.write(idx, val);
-        }
-        // Hash `a` every round (cached digests + dirty recompute)...
-        StateHash ha;
-        a.hashInto(ha);
-        // ...and a fresh copy of `b` (every page recomputed from scratch).
-        WordStorage fresh(1000);
-        for (std::uint32_t i = 0; i < 1000; ++i)
-            fresh.write(i, b.read(i));
-        StateHash hb;
-        fresh.hashInto(hb);
-        EXPECT_EQ(ha.value(), hb.value()) << "round " << round;
-    }
-
-    // Same property for the memory image.
-    MemoryImage img;
-    const Buffer buf = img.allocBuffer(1000);
-    MemoryImage dup;
-    const Buffer dup_buf = dup.allocBuffer(1000);
-    for (int round = 0; round < 20; ++round) {
-        for (int w = 0; w < 37; ++w) {
-            const auto idx = static_cast<std::uint32_t>(rng.below(1000));
-            const auto val = static_cast<Word>(rng.below(1ull << 32));
-            img.setWord(buf, idx, val);
-            dup.setWord(dup_buf, idx, val);
-        }
-        StateHash hi;
-        img.hashInto(hi);
-        MemoryImage fresh;
-        const Buffer fresh_buf = fresh.allocBuffer(1000);
-        for (std::uint32_t i = 0; i < 1000; ++i)
-            fresh.setWord(fresh_buf, i, dup.getWord(dup_buf, i));
-        StateHash hf;
-        fresh.hashInto(hf);
-        EXPECT_EQ(hi.value(), hf.value()) << "round " << round;
     }
 }
 
@@ -510,8 +437,7 @@ class EventCycleLog : public FaultWindowRecorder
  * Recording checkpoints does not perturb the recording.  A pack's one
  * recording run lands on every checkpoint cycle and encodes a delta
  * there; its windows must answer like a FaultWindowRecorder's on a
- * plain run, and its trajectory hashes must equal those of a recording
- * run with no checkpoint cycles.  observed() is compared at every
+ * plain run.  observed() is compared at every
  * event cycle c and c + 1 of each word (the plain windows are constant
  * in between) and at every checkpoint cycle, 0 included, of every word;
  * stuckAgreeCycle() for every bit and forced value of every word of the
@@ -539,15 +465,6 @@ TEST(Checkpoint, RecordingCheckpointsDoesNotPerturbTheRecording)
         injector.adoptGoldenCycles(golden.stats.cycles);
         const auto pack = injector.buildCheckpointPack(kDefaultCheckpoints);
         ASSERT_EQ(pack->deltas.size(), kDefaultCheckpoints + 1u);
-
-        CheckpointRecorder hashes_only;
-        RunOptions hashed;
-        hashed.recorder = &hashes_only;
-        hashed.hashInterval = pack->hashInterval;
-        ASSERT_TRUE(
-            gpu.run(inst.program, inst.launch, inst.image, hashed).clean());
-        EXPECT_FALSE(pack->hashes.empty());
-        EXPECT_EQ(pack->hashes, hashes_only.hashes);
 
         // Count mismatches and report the first: a gtest assertion per
         // query would dominate the run time.
@@ -625,12 +542,12 @@ TEST(Checkpoint, CampaignCountsInvariantUnderEngine)
 
 /**
  * Regression: this exact fault (scan on the full-size FX 5600, LDS bit
- * 1325566 flipped at cycle 2619) once hash-"converged" spuriously.  The
- * flip is read into a register, leaving two single-bit differences at
- * bit 30 of odd-position words — bit 62 of the hash chunks — and the
- * original XOR-multiply hash was triangular mod 2^64, so the two
- * top-bit differences cancelled with probability ~1/4.  The rotate in
- * StateHash::round exists because of this fault; it must stay SDC.
+ * 1325566 flipped at cycle 2619) is an SDC that a since-removed
+ * trajectory-hash early-out once called Masked: the flip is read into a
+ * register, leaving two single-bit differences at bit 30 of
+ * odd-position words, which the original triangular XOR-multiply hash
+ * cancelled (the rotate in StateHash::round exists because of it).
+ * Every engine must keep classifying it SDC, with no shortcut.
  */
 TEST(Checkpoint, HashIsNotTriangularRegression)
 {

@@ -7,14 +7,15 @@
  * consumer path, inside its window and after it, and SIMT bit groups
  * that straddle two units), the differential guarantee that the legacy
  * and checkpoint-restore engines classify identical control-fault lists
- * identically (dead-window prefilter, checkpoint restore and hash
- * early-out alike), and that a PC fault wakes an SM sleeping on a load.
+ * identically (dead-window prefilter and checkpoint restore alike), and
+ * that a PC fault wakes an SM sleeping on a load.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 
+#include "common/hash.hh"
 #include "common/string_utils.hh"
 #include "isa/builder.hh"
 #include "reliability/ace.hh"
@@ -187,7 +188,7 @@ TEST(ControlFaults, AceCoversControlState)
 /**
  * The differential guarantee extended to the control-state targets:
  * for every injection the checkpointed engine (dead-window prefilter,
- * restore and hash early-out) classifies exactly like the from-scratch
+ * then restore and replay) classifies exactly like the from-scratch
  * engine, across both dialects, divergence/barrier-heavy kernels and
  * single, adjacent-double and adjacent-quad flips.  The pack records
  * windows for the two control structures only.
@@ -207,7 +208,6 @@ TEST(ControlFaults, DifferentialOutcomeEquality)
     const char* workloads[] = {"vectoradd", "reduction", "histogram"};
 
     std::size_t dead_windows = 0;
-    std::size_t hash_converged = 0;
     std::size_t unmasked_total = 0;
     for (const GpuConfig& cfg : configs) {
         for (const char* wname : workloads) {
@@ -235,8 +235,6 @@ TEST(ControlFaults, DifferentialOutcomeEquality)
                         EXPECT_EQ(a.fault.cycle, b.fault.cycle);
                         if (expectSoundControlVerdict(cfg, a, b))
                             ++dead_windows;
-                        hash_converged += b.shortcut ==
-                                          InjectionShortcut::HashConvergence;
                         if (a.outcome != FaultOutcome::Masked)
                             ++unmasked_total;
                     }
@@ -245,10 +243,9 @@ TEST(ControlFaults, DifferentialOutcomeEquality)
         }
     }
     // The sweep must exercise every regime (deterministic given the
-    // fixed seeds): dead windows, hash-convergence shortcuts and real
-    // SDC/DUE outcomes from corrupted control state.
+    // fixed seeds): dead windows and real SDC/DUE outcomes from
+    // corrupted control state.
     EXPECT_GT(dead_windows, 0u);
-    EXPECT_GT(hash_converged, 0u);
     EXPECT_GT(unmasked_total, 0u);
 }
 
@@ -717,6 +714,8 @@ std::string
 runSummary(const RunResult& r, const MemoryImage& image)
 {
     const SimStats& s = r.stats;
+    StateHash h;
+    h.mixWords(image.words().data(), image.words().size());
     return strprintf(
         "trap=%s cycles=%llu winst=%llu tinst=%llu ld=%llu st=%llu "
         "txn=%llu image=%016llx",
@@ -727,8 +726,7 @@ runSummary(const RunResult& r, const MemoryImage& image)
         static_cast<unsigned long long>(s.globalLoads),
         static_cast<unsigned long long>(s.globalStores),
         static_cast<unsigned long long>(s.globalTransactions),
-        static_cast<unsigned long long>(StateHash::wordsDigest(
-            image.words().data(), image.words().size(), 0)));
+        static_cast<unsigned long long>(h.value()));
 }
 
 /**

@@ -295,22 +295,21 @@ cmdInject(const std::string& workload, const std::string& gpu,
     const WorkloadInstance inst = fw.buildInstance(workload);
 
     FaultSpec fault;
-    if (!tryTargetStructureFromName(structure, fault.structure))
-        return usage();
-
-    const auto bit = parseInt(bit_arg);
-    const auto cyc = parseInt(cycle_arg);
-    if (!bit || !cyc || *bit < 0 || *cyc < 0)
-        return usage();
-    fault.bitIndex = static_cast<BitIndex>(*bit);
-    fault.cycle = static_cast<Cycle>(*cyc);
-
-    if (behavior_arg &&
-        !tryFaultBehaviorFromName(behavior_arg, fault.behavior))
-        return usage();
-    if (pattern_arg &&
-        !tryFaultPatternFromName(pattern_arg, fault.pattern))
-        return usage();
+    fault.structure = targetStructureFromName(structure);
+    const auto non_negative = [](const char* name, const char* arg) {
+        const auto n = parseInt(arg);
+        if (!n || *n < 0) {
+            fatal("inject: ", name, " '", arg,
+                  "' is not a non-negative integer");
+        }
+        return static_cast<std::uint64_t>(*n);
+    };
+    fault.bitIndex = non_negative("bit", bit_arg);
+    fault.cycle = non_negative("cycle", cycle_arg);
+    if (behavior_arg)
+        fault.behavior = faultBehaviorFromName(behavior_arg);
+    if (pattern_arg)
+        fault.pattern = faultPatternFromName(pattern_arg);
     if (fault.behavior == FaultBehavior::Intermittent) {
         // No duty-cycle flags on the CLI: fix a deterministic cycle so
         // the same command line always reproduces the same run.
