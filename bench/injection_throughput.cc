@@ -102,9 +102,7 @@ run(int argc, char** argv)
         workloads.emplace_back(name);
     std::vector<GpuModel> gpus = allGpuModels();
     std::vector<TargetStructure> requested;
-    std::vector<FaultBehavior> behaviors = {
-        FaultBehavior::Transient, FaultBehavior::StuckAt0,
-        FaultBehavior::StuckAt1, FaultBehavior::Intermittent};
+    std::vector<FaultBehavior> behaviors = allFaultBehaviors();
     std::size_t injections = 40;
     unsigned checkpoints = kDefaultCheckpoints;
     std::uint64_t seed = 0xC0FFEE;
@@ -179,7 +177,7 @@ run(int argc, char** argv)
             ckpt.adoptGoldenCycles(legacy.goldenCycles());
             t0 = std::chrono::steady_clock::now();
             const auto pack =
-                ckpt.buildCheckpointPack(checkpoints, structures);
+                ckpt.buildCheckpointPack(checkpoints, structures, behaviors);
             t1 = std::chrono::steady_clock::now();
             const double pack_s = seconds(t0, t1);
             peak_pack_bytes =

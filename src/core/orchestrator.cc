@@ -629,12 +629,14 @@ runStudy(const StudySpec& spec, StudyProgress* progress_out)
                 const auto p0 = std::chrono::steady_clock::now();
                 FaultInjector injector(*cell->config, cell->instance);
                 injector.adoptGoldenCycles(cell->ace.goldenStats.cycles);
-                // Record windows for the structures this cell's
-                // campaigns inject, and no others.
+                // Record for the structures this cell's campaigns
+                // inject and the study's one fault behavior, and no
+                // others.
                 auto pack = injector.buildCheckpointPack(
                     spec.checkpoints,
                     selectStructures(*cell->config, cell->usesLds,
-                                     spec.structures));
+                                     spec.structures),
+                    {spec.faultBehavior});
                 const double build_seconds =
                     std::chrono::duration<double>(
                         std::chrono::steady_clock::now() - p0)

@@ -69,7 +69,8 @@ runCampaign(const GpuConfig& config, const WorkloadInstance& instance,
         FaultInjector probe(config, instance);
         result.goldenStats = probe.goldenRun().stats;
         if (cc.checkpoints > 0 && cap > 0)
-            pack = probe.buildCheckpointPack(cc.checkpoints, {structure});
+            pack = probe.buildCheckpointPack(cc.checkpoints, {structure},
+                                             {cc.shape.behavior});
     }
 
     if (cap == 0)

@@ -136,7 +136,8 @@ FaultInjector::adoptGoldenCycles(Cycle cycles)
 
 std::shared_ptr<const CheckpointPack>
 FaultInjector::buildCheckpointPack(
-    unsigned checkpoints, const std::vector<TargetStructure>& structures)
+    unsigned checkpoints, const std::vector<TargetStructure>& structures,
+    const std::vector<FaultBehavior>& behaviors)
 {
     const Cycle golden = goldenCycles();
 
@@ -145,7 +146,7 @@ FaultInjector::buildCheckpointPack(
 
     // One recording pass: windows, the cycle-0 baseline and a delta at
     // each checkpoint cycle.
-    FaultWindowRecorder window_recorder(config_, structures);
+    FaultWindowRecorder window_recorder(config_, structures, behaviors);
     CheckpointRecorder recorder;
     recorder.checkpointCycles = evenCheckpointCycles(golden, checkpoints);
     RunOptions options;

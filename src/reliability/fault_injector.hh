@@ -74,12 +74,14 @@ struct InjectionResult
 /**
  * One golden run's checkpoint pack (delta-encoded): a single full
  * baseline at cycle 0 plus per-checkpoint dirty page sets against it,
- * and the exact observability windows.  Built once per (workload, GPU,
- * workloadSeed) cell and shared (read-only) by every injector of that
- * cell.  An injection consults the observability windows first (a fault
- * outside every window is exactly Masked with zero simulation), then
- * delta-restores the nearest checkpoint at or before its fault cycle
- * and simulates to the end of the run.
+ * and the exact fault windows its injections query.  Built once per
+ * (workload, GPU, workloadSeed) cell and shared (read-only) by every
+ * injector of that cell.  An injection consults the windows first (a
+ * transient fault outside every observability window, or a persistent
+ * one whose forced value every remaining read already observes, is
+ * exactly Masked with zero simulation), then delta-restores the nearest
+ * checkpoint at or before its fault cycle and simulates to the end of
+ * the run.
  */
 struct CheckpointPack
 {
@@ -89,30 +91,32 @@ struct CheckpointPack
     /** Delta checkpoints ascending by .now, starting with the trivial
      *  cycle-0 one (so every fault cycle has a checkpoint below it). */
     std::vector<GpuCheckpointDelta> deltas;
-    /** Exact per-word observability windows of the golden run. */
+    /** The golden run's exact observability windows and value
+     *  residency, as far as the pack's injections query them. */
     FaultWindows windows;
 
-    /** Resident bytes of the checkpoint state (baseline + deltas). */
+    /** Resident bytes of the pack: baseline, deltas and windows. */
     std::size_t
     approxBytes() const
     {
-        std::size_t b = baseline.bytes();
+        std::size_t b = baseline.bytes() + windows.bytes();
         for (const GpuCheckpointDelta& d : deltas)
             b += d.bytes();
         return b;
     }
 
-    /** What the same checkpoint cycles would cost as full snapshots:
-     *  one baseline-sized copy per non-trivial checkpoint.  The
-     *  approxBytes()/fullEquivalentBytes() ratio is the pack's
-     *  compression factor. */
+    /** What the same pack would cost with full snapshots: one
+     *  baseline-sized copy per non-trivial checkpoint, plus the same
+     *  windows.  The approxBytes()/fullEquivalentBytes() ratio is the
+     *  pack's delta-vs-full compression factor. */
     std::size_t
     fullEquivalentBytes() const
     {
         std::size_t n = 0;
         for (const GpuCheckpointDelta& d : deltas)
             n += d.now > 0 ? 1 : 0;
-        return baseline.bytes() * std::max<std::size_t>(n, 1);
+        return baseline.bytes() * std::max<std::size_t>(n, 1) +
+               windows.bytes();
     }
 };
 
@@ -184,21 +188,25 @@ class FaultInjector
 
     /**
      * Record a checkpoint pack in one golden pass and arm this injector
-     * with it.  The pass records the observability windows, the
-     * cycle-0 baseline and a delta checkpoint at each of
-     * n = min(@p checkpoints, kMaxCheckpoints, golden - 1) evenly spaced
-     * cycles golden*i/(n+1), i = 1..n, so it needs only the golden cycle
-     * count (runs or adopts it first).  Returns the pack so sibling
-     * injectors of the same cell can adopt it instead of re-recording.
+     * with it.  The pass records the cycle-0 baseline, a delta
+     * checkpoint at each of n = min(@p checkpoints, kMaxCheckpoints,
+     * golden - 1) evenly spaced cycles golden*i/(n+1), i = 1..n, and the
+     * fault windows, so it needs only the golden cycle count (runs or
+     * adopts it first).  Returns the pack so sibling injectors of the
+     * same cell can adopt it instead of re-recording.
      * @p checkpoints == 0 yields a baseline-only pack (anchored restarts
-     * from cycle 0, no mid-run skipping).  Windows and value residency are
-     * recorded for @p structures only, the ones the pack's injections
-     * target; a fault in any other structure gets no prefilter.
+     * from cycle 0, no mid-run skipping).  The windows hold only what
+     * the pack's injections will query: for @p structures, the ones they
+     * target, the observability windows if one of their @p behaviors is
+     * transient and the value residency if one is persistent.  A fault
+     * outside that gets no prefilter, so a list that is too short costs
+     * speed, never a verdict.
      */
     std::shared_ptr<const CheckpointPack> buildCheckpointPack(
         unsigned checkpoints,
         const std::vector<TargetStructure>& structures =
-            registeredStructures());
+            registeredStructures(),
+        const std::vector<FaultBehavior>& behaviors = allFaultBehaviors());
 
     /**
      * Share a pack recorded by another injector of the same

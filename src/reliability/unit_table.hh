@@ -27,6 +27,12 @@
 
 namespace gpr {
 
+/** Units per UnitTable block (a power of two): the granularity at which
+ *  per-unit state is allocated, and at which FaultWindows indexes the
+ *  units a run touched. */
+constexpr unsigned kUnitBlockBits = 8;
+constexpr std::size_t kUnitBlockUnits = std::size_t{1} << kUnitBlockBits;
+
 template <typename State>
 class UnitTable
 {
@@ -38,7 +44,7 @@ class UnitTable
     UnitTable(std::uint64_t units_per_instance, std::uint64_t instances)
         : units_per_instance_(units_per_instance),
           units_(static_cast<std::size_t>(units_per_instance * instances)),
-          blocks_((units_ + kBlockUnits - 1) / kBlockUnits)
+          blocks_((units_ + kUnitBlockUnits - 1) / kUnitBlockUnits)
     {
     }
 
@@ -61,10 +67,10 @@ class UnitTable
     State&
     operator[](std::size_t u)
     {
-        std::unique_ptr<State[]>& block = blocks_[u >> kBlockBits];
+        std::unique_ptr<State[]>& block = blocks_[u >> kUnitBlockBits];
         if (!block)
-            block = std::make_unique<State[]>(kBlockUnits);
-        return block[u & (kBlockUnits - 1)];
+            block = std::make_unique<State[]>(kUnitBlockUnits);
+        return block[u & (kUnitBlockUnits - 1)];
     }
 
     /** Call @p fn(unit, state) for every unit of every touched block,
@@ -94,21 +100,17 @@ class UnitTable
         for (std::size_t b = 0; b < table.blocks_.size(); ++b) {
             if (!table.blocks_[b])
                 continue;
-            const std::size_t first = b * kBlockUnits;
-            const std::size_t n = std::min(kBlockUnits, table.units_ - first);
+            const std::size_t first = b * kUnitBlockUnits;
+            const std::size_t n =
+                std::min(kUnitBlockUnits, table.units_ - first);
             for (std::size_t i = 0; i < n; ++i)
                 fn(first + i, static_cast<Ref>(table.blocks_[b][i]));
         }
     }
 
-    /** Units per block (a power of two). */
-    static constexpr unsigned kBlockBits = 8;
-    static constexpr std::size_t kBlockUnits = std::size_t{1}
-                                               << kBlockBits;
-
     std::uint64_t units_per_instance_ = 0;
     std::size_t units_ = 0;
-    /** kBlockUnits states per block; null until first touched. */
+    /** kUnitBlockUnits states per block; null until first touched. */
     std::vector<std::unique_ptr<State[]>> blocks_;
 };
 

@@ -36,6 +36,15 @@ joinNames(const std::array<std::string_view, N>& names)
 
 } // namespace
 
+std::vector<FaultBehavior>
+allFaultBehaviors()
+{
+    std::vector<FaultBehavior> all;
+    for (std::size_t i = 0; i < kNumFaultBehaviors; ++i)
+        all.push_back(static_cast<FaultBehavior>(i));
+    return all;
+}
+
 std::string_view
 faultBehaviorName(FaultBehavior b)
 {

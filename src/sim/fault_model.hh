@@ -17,6 +17,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <string_view>
+#include <vector>
 
 #include "common/types.hh"
 
@@ -151,6 +152,9 @@ struct FaultShape
         return !(a == b);
     }
 };
+
+/** Every fault behavior, in enum order. */
+std::vector<FaultBehavior> allFaultBehaviors();
 
 /** Canonical behavior name: "transient", "stuck-at-0", "stuck-at-1",
  *  "intermittent". */

@@ -5,8 +5,10 @@
  * FaultWindows is checked against a brute-force oracle built from the
  * same stream — observed() at every cycle, stuckAgreeCycle() for every
  * aligned bit group of widths 1/2/4 and both forced values, and
- * intervalCount() — plus a recorder of one structure against the full
- * one, the residency slot cap and the sizing of the chip-scoped L2.
+ * intervalCount() — plus recorders of one structure and of one half
+ * (windows or residency) against the full one, the edge units of every
+ * structure on full-size chips, the residency slot cap and the sizing
+ * of the chip-scoped L2.
  */
 
 #include <gtest/gtest.h>
@@ -272,11 +274,14 @@ struct RandomStream
         end = cycle + 2;
     }
 
-    /** Feed the stream to a recorder of @p structures and finalise. */
+    /** Feed the stream to a recorder of @p structures and @p behaviors
+     *  and finalise. */
     FaultWindows
-    record(const std::vector<TargetStructure>& structures) const
+    record(const std::vector<TargetStructure>& structures,
+           const std::vector<FaultBehavior>& behaviors =
+               allFaultBehaviors()) const
     {
-        FaultWindowRecorder recorder(cfg, structures);
+        FaultWindowRecorder recorder(cfg, structures, behaviors);
         for (const Call& c : calls) {
             switch (c.kind) {
               case Call::Read:
@@ -408,6 +413,217 @@ TEST(FaultWindows, RecorderOfOneStructureLeavesTheRestConservative)
         EXPECT_GT(rf_intervals, 0u);
         EXPECT_EQ(only_rf.intervalCount(), rf_intervals);
     }
+}
+
+/**
+ * A pack records only the halves its faults query.  A recorder for
+ * transient faults keeps the full recorder's windows and answers
+ * kNeverAgrees everywhere; one for persistent faults keeps the full
+ * recorder's residency, records no interval and answers observed()
+ * true at every cycle.  The residency recorder ignores writes and
+ * allocations, so a word the stream only writes lies in a block it
+ * never touched, and still answers 0 like the full recorder.
+ */
+TEST(FaultWindows, RecorderOfOneHalfLeavesTheOtherConservative)
+{
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+        SCOPED_TRACE(testing::Message() << "seed " << seed);
+        const RandomStream stream(seed);
+        const FaultWindows full = stream.record(registeredStructures());
+        const FaultWindows windows = stream.record(
+            registeredStructures(), {FaultBehavior::Transient});
+        const FaultWindows residency = stream.record(
+            registeredStructures(),
+            {FaultBehavior::StuckAt0, FaultBehavior::Intermittent});
+
+        for (const auto& [key, word] : stream.oracle) {
+            const auto [structure, chip_word] = key;
+            SCOPED_TRACE(testing::Message()
+                         << targetStructureName(structure) << " word "
+                         << chip_word);
+            for (Cycle c = 0; c <= stream.end; ++c) {
+                ASSERT_EQ(windows.observed(structure, chip_word, c),
+                          full.observed(structure, chip_word, c))
+                    << "cycle " << c;
+                ASSERT_TRUE(residency.observed(structure, chip_word, c))
+                    << "cycle " << c;
+            }
+            for (unsigned bit = 0; bit < 32; ++bit) {
+                for (bool value : {false, true}) {
+                    ASSERT_EQ(windows.stuckAgreeCycle(structure, chip_word,
+                                                      bit, 1, value),
+                              kNever)
+                        << "bit " << bit << " stuck-at-" << value;
+                    ASSERT_EQ(residency.stuckAgreeCycle(structure, chip_word,
+                                                        bit, 1, value),
+                              full.stuckAgreeCycle(structure, chip_word, bit,
+                                                   1, value))
+                        << "bit " << bit << " stuck-at-" << value;
+                }
+            }
+        }
+        EXPECT_GT(full.intervalCount(), 0u);
+        EXPECT_EQ(windows.intervalCount(), full.intervalCount());
+        EXPECT_EQ(residency.intervalCount(), 0u);
+    }
+}
+
+/**
+ * The first and last unit of the first and last instance of every
+ * structure on two full-size chips, with the chip-scoped L2's events at
+ * SM 0: units at the edges of the touched-block map, including blocks
+ * that straddle two SMs' units (a per-SM unit count that is not a
+ * multiple of 256) and the chip's partial last block.  Each unit is
+ * written once and read twice at its own cycles, so two units that
+ * shared an index would answer each other's windows.  Beside them, an
+ * untouched unit of a touched block and the first and last unit of an
+ * untouched block answer as never touched, and units at and past the
+ * structure's size answer conservatively.
+ */
+TEST(FaultWindows, EdgeUnitsOfEveryStructure)
+{
+    struct Probe
+    {
+        SmId sm;
+        std::uint32_t unit;
+        std::uint64_t chipUnit;
+    };
+    // The cycle after the last disagreeing read of either read value.
+    const auto agree = [](Word a, Cycle ca, Word b, Cycle cb, unsigned bit,
+                          bool value) {
+        const auto differs = [&](Word w) {
+            return (((w >> bit) & 1u) != 0) != value;
+        };
+        return differs(b) ? cb + 1 : differs(a) ? ca + 1 : Cycle{0};
+    };
+    std::size_t straddling = 0;
+    std::size_t untouched_blocks = 0;
+    for (GpuModel model :
+         {GpuModel::HdRadeon7970, GpuModel::GeforceGtx480}) {
+        const GpuConfig& cfg = gpuConfig(model);
+        for (const StructureSpec& spec : structureRegistry()) {
+            SCOPED_TRACE(std::string(spec.shortName) + " on " + cfg.name);
+            const auto units =
+                static_cast<std::uint32_t>(spec.aceUnitsPerSm(cfg));
+            const auto instances =
+                static_cast<SmId>(structureInstances(cfg, spec.id));
+            const std::uint64_t total = std::uint64_t{units} * instances;
+            const bool residency = hasResidency(spec.id);
+            FaultWindowRecorder recorder(cfg, {spec.id});
+            std::vector<Probe> probes;
+            if (units > 0) {
+                probes = {{0, 0, 0}, {0, units - 1, units - 1}};
+                if (instances > 1) {
+                    const std::uint64_t base =
+                        std::uint64_t{instances - 1} * units;
+                    probes.push_back({instances - 1, 0, base});
+                    probes.push_back(
+                        {instances - 1, units - 1, base + units - 1});
+                }
+                straddling += units % kUnitBlockUnits != 0 && instances > 1;
+            }
+            const auto value_a = [](std::size_t k) {
+                return static_cast<Word>(0x5A5A00F0u ^ k);
+            };
+            const auto value_b = [](std::size_t k) {
+                return static_cast<Word>(0x0F0F0F0Fu ^ (k << 8));
+            };
+            for (std::size_t k = 0; k < probes.size(); ++k)
+                recorder.onWrite(spec.id, probes[k].sm, probes[k].unit, 2 + k);
+            for (std::size_t k = 0; k < probes.size(); ++k) {
+                recorder.onRead(spec.id, probes[k].sm, probes[k].unit,
+                                value_a(k), 10 + k);
+            }
+            for (std::size_t k = 0; k < probes.size(); ++k) {
+                recorder.onRead(spec.id, probes[k].sm, probes[k].unit,
+                                value_b(k), 20 + 3 * k);
+            }
+            FaultWindows windows;
+            recorder.finalize(windows);
+            ASSERT_TRUE(windows.enabled());
+            EXPECT_EQ(windows.intervalCount(), probes.size());
+
+            // Each probe: written at 2 + k, so observable from 3 + k
+            // through its last read at 20 + 3k.
+            for (std::size_t k = 0; k < probes.size(); ++k) {
+                const std::uint64_t u = probes[k].chipUnit;
+                SCOPED_TRACE(testing::Message() << "unit " << u);
+                EXPECT_FALSE(windows.observed(spec.id, u, 2 + k));
+                EXPECT_TRUE(windows.observed(spec.id, u, 3 + k));
+                EXPECT_TRUE(windows.observed(spec.id, u, 20 + 3 * k));
+                EXPECT_FALSE(windows.observed(spec.id, u, 21 + 3 * k));
+                for (unsigned bit = 0; bit < 32; ++bit) {
+                    for (bool value : {false, true}) {
+                        EXPECT_EQ(windows.stuckAgreeCycle(spec.id, u, bit, 1,
+                                                          value),
+                                  residency ? agree(value_a(k), 10 + k,
+                                                    value_b(k), 20 + 3 * k,
+                                                    bit, value)
+                                            : kNever)
+                            << "bit " << bit << " stuck-at-" << value;
+                    }
+                }
+            }
+
+            // Units that saw no event: a neighbour of a probe inside its
+            // block, and the first and last unit of a block no probe
+            // touched.
+            const auto is_probe = [&](std::uint64_t u) {
+                return std::any_of(
+                    probes.begin(), probes.end(),
+                    [u](const Probe& p) { return p.chipUnit == u; });
+            };
+            const auto block_of = [](std::uint64_t u) {
+                return u >> kUnitBlockBits;
+            };
+            std::vector<std::uint64_t> untouched;
+            for (const Probe& p : probes) {
+                for (std::uint64_t n : {p.chipUnit - 1, p.chipUnit + 1}) {
+                    if (n < total && block_of(n) == block_of(p.chipUnit) &&
+                        !is_probe(n)) {
+                        untouched.push_back(n);
+                    }
+                }
+            }
+            for (std::uint64_t b = 0; b <= block_of(total - 1) && total > 0;
+                 ++b) {
+                const std::uint64_t first = b << kUnitBlockBits;
+                const std::uint64_t last =
+                    std::min(total, first + kUnitBlockUnits) - 1;
+                if (std::none_of(probes.begin(), probes.end(),
+                                 [&](const Probe& p) {
+                                     return block_of(p.chipUnit) == b;
+                                 })) {
+                    untouched.push_back(first);
+                    untouched.push_back(last);
+                    ++untouched_blocks;
+                    break;
+                }
+            }
+            for (std::uint64_t u : untouched) {
+                SCOPED_TRACE(testing::Message() << "untouched unit " << u);
+                for (Cycle c : {Cycle{0}, Cycle{3}, Cycle{15}, Cycle{100}})
+                    EXPECT_FALSE(windows.observed(spec.id, u, c));
+                for (bool value : {false, true}) {
+                    EXPECT_EQ(windows.stuckAgreeCycle(spec.id, u, 0, 4, value),
+                              residency ? 0u : kNever);
+                }
+            }
+
+            for (std::uint64_t u :
+                 {total, total + 1, total + 4 * kUnitBlockUnits}) {
+                SCOPED_TRACE(testing::Message() << "past-the-end unit " << u);
+                for (Cycle c : {Cycle{0}, Cycle{15}, Cycle{100}})
+                    EXPECT_TRUE(windows.observed(spec.id, u, c));
+                for (bool value : {false, true})
+                    EXPECT_EQ(windows.stuckAgreeCycle(spec.id, u, 0, 4, value),
+                              kNever);
+            }
+        }
+    }
+    // Both kinds of edge the block map has to get right were exercised.
+    EXPECT_GT(straddling, 0u);
+    EXPECT_GT(untouched_blocks, 0u);
 }
 
 /** Stamps past 32 bits saturate: the word is never provably benign for
