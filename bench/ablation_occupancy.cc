@@ -13,6 +13,7 @@
  */
 
 #include <iostream>
+#include <utility>
 
 #include "common/logging.hh"
 #include "common/string_utils.hh"
@@ -38,17 +39,20 @@ sweep(const BenchCli& cli, const std::string& label,
     for (std::size_t i = 0; i < configs.size(); ++i) {
         const GpuConfig& cfg = configs[i];
         const WorkloadInstance inst = workload->build(cfg.dialect, {});
-        const AceResult ace = runAceAnalysis(cfg, inst);
+        // A campaign's golden run is also its ACE analysis.
+        AceResult ace;
+        double avf_fi = 0.0;
+        if (cli.spec.aceOnly) {
+            ace = runAceAnalysis(cfg, inst);
+        } else {
+            CampaignResult fi =
+                runCampaign(cfg, inst, TargetStructure::VectorRegisterFile,
+                            cli.campaign());
+            avf_fi = fi.avf();
+            ace = std::move(fi.ace);
+        }
         const AceStructureResult& rf_ace =
             ace.forStructure(TargetStructure::VectorRegisterFile);
-
-        double avf_fi = 0.0;
-        if (!cli.spec.aceOnly) {
-            avf_fi = runCampaign(cfg, inst,
-                                 TargetStructure::VectorRegisterFile,
-                                 cli.campaign())
-                         .avf();
-        }
 
         table.addRow(
             {tags[i],

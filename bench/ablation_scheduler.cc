@@ -9,6 +9,7 @@
  */
 
 #include <iostream>
+#include <utility>
 
 #include "common/logging.hh"
 #include "common/string_utils.hh"
@@ -53,17 +54,20 @@ run(int argc, char** argv)
         for (const auto* cfg : {&rr, &gto}) {
             const WorkloadInstance inst =
                 workload->build(cfg->dialect, {});
-            const AceResult ace = runAceAnalysis(*cfg, inst);
-
+            // A campaign's golden run is also its ACE analysis.
+            AceResult ace;
+            double avf_fi = 0.0;
+            if (cli.spec.aceOnly) {
+                ace = runAceAnalysis(*cfg, inst);
+            } else {
+                CampaignResult fi = runCampaign(
+                    *cfg, inst, TargetStructure::VectorRegisterFile,
+                    cli.campaign());
+                avf_fi = fi.avf();
+                ace = std::move(fi.ace);
+            }
             const AceStructureResult& rf_ace =
                 ace.forStructure(TargetStructure::VectorRegisterFile);
-            double avf_fi = 0.0;
-            if (!cli.spec.aceOnly) {
-                avf_fi = runCampaign(*cfg, inst,
-                                     TargetStructure::VectorRegisterFile,
-                                     cli.campaign())
-                             .avf();
-            }
 
             table.addRow(
                 {name,

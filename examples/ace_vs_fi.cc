@@ -17,6 +17,7 @@
 #include "common/string_utils.hh"
 #include "common/table.hh"
 #include "core/framework.hh"
+#include "core/orchestrator.hh"
 
 namespace {
 

@@ -1,8 +1,8 @@
 /**
  * @file
  * A persistent pool of worker threads draining one task queue — used by
- * the study orchestrator for a whole study and by a standalone campaign
- * for each range of injections it runs.
+ * the study executor (core/orchestrator.hh), one pool per study or
+ * standalone campaign.
  */
 
 #ifndef GPR_COMMON_WORKER_POOL_HH

@@ -188,36 +188,46 @@ planStudy(const StudySpec& spec)
 
 namespace {
 
+/** Shards per worker of a standalone campaign.  One shard per worker
+ *  would leave the tail to whichever worker drew the slowest injections;
+ *  a few per worker let the pool rebalance. */
+constexpr std::size_t kShardsPerWorker = 4;
+
+unsigned
+resolvedJobs(unsigned jobs)
+{
+    return jobs ? jobs : std::max(1u, std::thread::hardware_concurrency());
+}
+
 struct CampaignExec;
 /** A shard ready for submission: its campaign and its key. */
 using ShardTask = std::pair<CampaignExec*, const ShardKey*>;
 
-/** One (workload, GPU) grid cell with its cached golden/ACE pass. */
+/**
+ * One (workload, GPU) cell with its cached golden/ACE pass.  A grid cell
+ * names its workload and GPU, and the golden wave builds its instance;
+ * a caller-built cell points at the caller's config and instance.
+ */
 struct Cell
 {
     std::string workload;
     GpuModel gpu = GpuModel::GeforceGtx480;
     const GpuConfig* config = nullptr;
+    /** The caller's instance, or `built` once the golden wave ran. */
+    const WorkloadInstance* instance = nullptr;
+    WorkloadInstance built;
     bool usesLds = false;
-    WorkloadInstance instance;
     AceResult ace;
+    /** The structures of the cell's campaigns, which its pack records. */
+    std::vector<TargetStructure> structures;
 
-    // Admission state, guarded by runStudy's state mutex.  The pack
+    // Admission state, guarded by the executor's state mutex.  The pack
     // (one extra golden pass) is built by the cell's admission task and
     // released when its last campaign finishes (see admit_next_locked).
     std::shared_ptr<const CheckpointPack> pack;
     std::size_t campaignsLeft = 0;
     /** First-batch shards held back until the cell is admitted. */
     std::vector<ShardTask> waiting;
-};
-
-/** Final accumulation of one campaign, fed to report assembly. */
-struct CampaignTotals
-{
-    ShardCounts counts;
-    /** Injections actually run — the adaptive stopping point, or the
-     *  full fixed plan. */
-    std::uint64_t injections = 0;
 };
 
 /**
@@ -233,6 +243,9 @@ struct CampaignExec
     std::size_t cellIndex = 0;
     TargetStructure structure = TargetStructure::VectorRegisterFile;
     std::vector<ShardKey> shards;
+    /** When set, (*records)[i] receives injection i's result.  It holds
+     *  the worst-case range, and each shard writes only its own slice. */
+    std::vector<InjectionResult>* records = nullptr;
     /** Exclusive shard index ending each batch. */
     std::vector<std::size_t> batchEndShard;
     std::size_t issuedBatches = 0;
@@ -247,7 +260,8 @@ struct CampaignExec
 void
 assembleReport(ReliabilityReport& report, const Cell& cell,
                const StudySpec& spec,
-               const std::map<TargetStructure, CampaignTotals>& campaigns)
+               const std::map<TargetStructure, const CampaignExec*>&
+                   campaigns)
 {
     const std::vector<TargetStructure>& requested = spec.structures;
     report.workload = cell.workload;
@@ -279,30 +293,25 @@ assembleReport(ReliabilityReport& report, const Cell& cell,
             // occupancy are still reported — the golden pass covers
             // every structure for free.
             if (!spec.aceOnly && selected) {
+                // decomposeStudy made a campaign for exactly the
+                // selected, applicable structures.
+                const auto it = campaigns.find(sspec.id);
+                GPR_ASSERT(it != campaigns.end(),
+                           "selected structure without a campaign");
+                const CampaignExec& c = *it->second;
                 // Fold the shard counts through CampaignResult so the
                 // statistics (AVF, rates, Wilson intervals, achieved
-                // margin) share one implementation with the standalone
-                // campaign path.
-                const auto it = campaigns.find(sspec.id);
+                // margin) share one implementation with runCampaign.
                 CampaignResult cr;
                 cr.structure = sspec.id;
                 cr.confidence = spec.plan.confidence;
-                if (it != campaigns.end()) {
-                    // The campaign's own injection count — for an
-                    // adaptive plan this is its stopping point, not the
-                    // plan ceiling.
-                    cr.injections = static_cast<std::size_t>(
-                        it->second.injections);
-                    cr.masked =
-                        static_cast<std::size_t>(it->second.counts.masked);
-                    cr.sdc =
-                        static_cast<std::size_t>(it->second.counts.sdc);
-                    cr.due =
-                        static_cast<std::size_t>(it->second.counts.due);
-                    cr.wallSeconds = it->second.counts.busySeconds;
-                } else if (!spec.plan.adaptive()) {
-                    cr.injections = spec.plan.injections;
-                }
+                // The campaign's own injection count — for an adaptive
+                // plan this is its stopping point, not the plan ceiling.
+                cr.injections = static_cast<std::size_t>(c.injectionsDone);
+                cr.masked = static_cast<std::size_t>(c.counts.masked);
+                cr.sdc = static_cast<std::size_t>(c.counts.sdc);
+                cr.due = static_cast<std::size_t>(c.counts.due);
+                cr.wallSeconds = c.counts.busySeconds;
                 sr.avfFi = cr.avf();
                 sr.fiErrorMargin = cr.errorMargin();
                 sr.sdcRate = cr.sdcRate();
@@ -366,132 +375,30 @@ assembleReport(ReliabilityReport& report, const Cell& cell,
     report.epfCi.hi = std::max(epf_a, epf_b);
 }
 
-} // namespace
-
-StudyResult
-runStudy(const StudySpec& spec, StudyProgress* progress_out)
+/**
+ * Execute @p campaigns over @p cells on one pool of `spec.jobs` workers:
+ * the golden+ACE wave over every cell, then cell admission (longest
+ * golden run first, at most `jobs` packs alive), the shard tasks, and
+ * the per-look stopping rule.  Shards found in @p checkpointed merge
+ * without running; executed shards append to @p store when it is open.
+ * @p grid describes the cells in the golden wave's progress line.
+ */
+void
+executeCampaigns(const StudySpec& spec,
+                 std::vector<std::unique_ptr<Cell>>& cells,
+                 std::vector<CampaignExec>& campaigns,
+                 const std::map<ShardKey, ShardCounts>& checkpointed,
+                 std::ofstream& store, const std::string& grid,
+                 StudyProgress& progress)
 {
-    const auto t0 = std::chrono::steady_clock::now();
-    spec.validate();
+    for (const CampaignExec& c : campaigns)
+        progress.totalShards += c.shards.size();
 
-    StudyResult result;
-    result.workloads = spec.resolvedWorkloads();
-    result.gpus = spec.resolvedGpus();
-    const std::size_t num_gpus = result.gpus.size();
-
-    StudyProgress progress;
-    progress.cells = result.workloads.size() * num_gpus;
-
-    // Load completed shards from a previous (possibly killed) run.  The
-    // store's header pins the campaign spec the shards were computed
-    // under: resuming with a different campaign fails loudly instead of
-    // silently mixing two experiments' counts.  (Execution knobs are
-    // not part of the hash — stores stay resumable at any jobs/shards/
-    // checkpoints setting.)
-    std::map<ShardKey, ShardCounts> checkpointed;
-    bool store_exists = false;
-    bool backfill_header = false;
-    if (spec.resume && !spec.storePath.empty()) {
-        const auto load0 = std::chrono::steady_clock::now();
-        std::ifstream in(spec.storePath);
-        if (in) {
-            store_exists = true;
-            // Header records are recognised at any line, not just the
-            // first: a run killed before its header flushed — or a
-            // legacy store that was back-filled on a previous resume —
-            // must not lose the guard.
-            std::vector<StoreHeader> headers;
-            for (ShardRecord& r : readShardStore(in, &headers))
-                checkpointed[std::move(r.key)] = r.counts;
-            for (const StoreHeader& header : headers) {
-                if (header.specHash != spec.campaignHashHex()) {
-                    fatal("shard store '", spec.storePath,
-                          "' was written under campaign spec ",
-                          header.specHash, " but the current spec is ",
-                          spec.campaignHashHex(),
-                          "; refusing to resume a mismatched store "
-                          "(use a fresh --store to start over)");
-                }
-            }
-            if (headers.empty()) {
-                warn("shard store '", spec.storePath,
-                     "' has no spec header (older version, or a run "
-                     "killed before the header flushed); resuming with "
-                     "per-key matching only and stamping the current "
-                     "spec so future resumes are verified again");
-                backfill_header = true;
-            }
-        }
-        progress.resumeLoadSeconds =
-            std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                          load0)
-                .count();
-    }
-
-    std::ofstream store;
-    std::mutex store_mutex;
-    if (!spec.storePath.empty()) {
-        // A killed run can leave a truncated tail line without a newline;
-        // start appending on a fresh line so the glued bytes stay one
-        // (skippable) broken line instead of corrupting a new record.
-        bool needs_newline = false;
-        if (spec.resume && store_exists) {
-            std::ifstream probe(spec.storePath, std::ios::binary);
-            if (probe && probe.seekg(-1, std::ios::end)) {
-                char last = '\n';
-                probe.get(last);
-                needs_newline = last != '\n';
-            }
-        }
-        const bool fresh_store = !spec.resume || !store_exists;
-        store.open(spec.storePath, spec.resume
-                                       ? std::ios::out | std::ios::app
-                                       : std::ios::out | std::ios::trunc);
-        if (!store) {
-            fatal("cannot open shard store '", spec.storePath,
-                  "' for writing");
-        }
-        if (needs_newline)
-            store << '\n';
-        if (fresh_store || backfill_header) {
-            StoreHeader header;
-            header.specHash = spec.campaignHashHex();
-            header.specJson = spec.toJsonString();
-            writeStoreHeader(store, header);
-            store << '\n';
-            store.flush();
-        }
-    }
-
-    // Canonical cells (duplicate grid entries collapse into one) and the
-    // flat shard work-list are known up front, so the pool never spawns
-    // more threads than it has work for the larger wave.
-    std::map<std::pair<std::string, GpuModel>, std::size_t> canonical;
-    std::vector<std::size_t> cell_of_grid(progress.cells);
-    std::vector<std::unique_ptr<Cell>> cells; // stable addresses
-    for (std::size_t w = 0; w < result.workloads.size(); ++w) {
-        for (std::size_t g = 0; g < num_gpus; ++g) {
-            const auto [it, fresh] = canonical.try_emplace(
-                std::make_pair(result.workloads[w], result.gpus[g]),
-                cells.size());
-            cell_of_grid[w * num_gpus + g] = it->second;
-            if (!fresh)
-                continue;
-            auto cell = std::make_unique<Cell>();
-            cell->workload = result.workloads[w];
-            cell->gpu = result.gpus[g];
-            cell->config = &gpuConfig(cell->gpu);
-            cells.push_back(std::move(cell));
-        }
-    }
-    const std::vector<ShardKey> shards = decomposeStudy(spec);
-    progress.totalShards = shards.size();
-
-    unsigned jobs = spec.jobs
-                        ? spec.jobs
-                        : std::max(1u, std::thread::hardware_concurrency());
-    jobs = static_cast<unsigned>(std::min<std::size_t>(
-        jobs, std::max({std::size_t{1}, cells.size(), shards.size()})));
+    // The pool never spawns more threads than it has work for the
+    // larger wave.
+    const unsigned jobs = static_cast<unsigned>(std::min<std::size_t>(
+        resolvedJobs(spec.jobs),
+        std::max({std::size_t{1}, cells.size(), progress.totalShards})));
     WorkerPool pool(jobs);
     std::mutex error_mutex;
     std::exception_ptr first_error;
@@ -522,13 +429,16 @@ runStudy(const StudySpec& spec, StudyProgress* progress_out)
             if (errored())
                 return;
             try {
-                const auto workload = makeWorkload(cell->workload);
-                cell->usesLds = workload->usesLocalMemory();
-                WorkloadParams params;
-                params.seed = spec.workloadSeed;
-                cell->instance =
-                    workload->build(cell->config->dialect, params);
-                cell->ace = runAceAnalysis(*cell->config, cell->instance);
+                if (!cell->instance) {
+                    const auto workload = makeWorkload(cell->workload);
+                    cell->usesLds = workload->usesLocalMemory();
+                    WorkloadParams params;
+                    params.seed = spec.workloadSeed;
+                    cell->built =
+                        workload->build(cell->config->dialect, params);
+                    cell->instance = &cell->built;
+                }
+                cell->ace = runAceAnalysis(*cell->config, *cell->instance);
             } catch (...) {
                 record_error();
             }
@@ -537,9 +447,8 @@ runStudy(const StudySpec& spec, StudyProgress* progress_out)
     rethrow_errors();
     progress.goldenRuns = cells.size();
     if (spec.verbose) {
-        inform("study: ", cells.size(), " golden+ACE runs cached (",
-               result.workloads.size(), " workloads x ", num_gpus,
-               " GPUs)");
+        inform("study: ", cells.size(), " golden+ACE runs cached (", grid,
+               ")");
     }
 
     // Wave 2 — one CampaignExec per (cell, structure), batches issued
@@ -548,34 +457,16 @@ runStudy(const StudySpec& spec, StudyProgress* progress_out)
     // stop on the cumulative counts (a fixed plan is a single batch).
     // Campaigns advance independently, so the pool stays busy across
     // the grid even though batches within one campaign serialize.
-    auto cell_index = [&](const ShardKey& key) {
-        return canonical.at(std::make_pair(key.workload, key.gpu));
-    };
-
     const bool adaptive = spec.plan.adaptive() && !spec.aceOnly;
     std::vector<std::uint64_t> looks;
     double guarded_confidence = 0.0;
-    if (adaptive && !shards.empty()) {
+    if (adaptive && !campaigns.empty()) {
         looks = sequentialSchedule(spec.plan);
         // Derived once: every stop evaluation below runs under the
         // state mutex and must not rebuild the schedule.
         guarded_confidence = sequentialConfidence(spec.plan);
     }
 
-    std::vector<CampaignExec> campaigns;
-    for (const ShardKey& key : shards) {
-        // decomposeStudy emits each campaign's shards contiguously and
-        // in injection order, so grouping is a linear scan.
-        if (campaigns.empty() ||
-            campaigns.back().cellIndex != cell_index(key) ||
-            campaigns.back().structure != key.structure) {
-            CampaignExec c;
-            c.cellIndex = cell_index(key);
-            c.structure = key.structure;
-            campaigns.push_back(std::move(c));
-        }
-        campaigns.back().shards.push_back(key);
-    }
     for (CampaignExec& c : campaigns) {
         if (adaptive) {
             std::size_t look = 0;
@@ -590,11 +481,14 @@ runStudy(const StudySpec& spec, StudyProgress* progress_out)
         } else {
             c.batchEndShard = {c.shards.size()};
         }
-        ++cells[c.cellIndex]->campaignsLeft;
+        Cell& cell = *cells[c.cellIndex];
+        cell.structures.push_back(c.structure);
+        ++cell.campaignsLeft;
     }
 
     // Guards campaigns' counts, the cells' admission state and progress.
     std::mutex state_mutex;
+    std::mutex store_mutex;
     // Cells with shards to run, in admission order; the first
     // `admitted_cells` of them have been admitted.
     std::vector<Cell*> admission;
@@ -627,15 +521,12 @@ runStudy(const StudySpec& spec, StudyProgress* progress_out)
                 return;
             try {
                 const auto p0 = std::chrono::steady_clock::now();
-                FaultInjector injector(*cell->config, cell->instance);
+                FaultInjector injector(*cell->config, *cell->instance);
                 injector.adoptGoldenCycles(cell->ace.goldenStats.cycles);
                 // Record for the structures this cell's campaigns
-                // inject and the study's one fault behavior, and no
-                // others.
+                // inject and the one fault behavior, and no others.
                 auto pack = injector.buildCheckpointPack(
-                    spec.checkpoints,
-                    selectStructures(*cell->config, cell->usesLds,
-                                     spec.structures),
+                    spec.checkpoints, cell->structures,
                     {spec.faultBehavior});
                 const double build_seconds =
                     std::chrono::duration<double>(
@@ -767,20 +658,36 @@ runStudy(const StudySpec& spec, StudyProgress* progress_out)
                 try {
                     const ShardKey& key = *keyp;
                     const auto s0 = std::chrono::steady_clock::now();
-                    FaultInjector injector(*cell->config, cell->instance);
+                    FaultInjector injector(*cell->config, *cell->instance);
                     injector.adoptGoldenCycles(
                         cell->ace.goldenStats.cycles);
                     if (cell->pack)
                         injector.adoptCheckpointPack(cell->pack);
-                    const OutcomeCounts tally = runInjectionRange(
-                        injector, key.structure, key.campaignSeed,
-                        FaultShape{key.behavior, key.pattern},
-                        key.injectionBegin, key.injectionEnd);
-                    const ShardCounts counts{
-                        tally.masked, tally.sdc, tally.due,
+                    const FaultShape shape{key.behavior, key.pattern};
+                    ShardCounts counts;
+                    for (std::uint64_t i = key.injectionBegin;
+                         i < key.injectionEnd; ++i) {
+                        const InjectionResult r = runIndexedInjection(
+                            injector, key.structure, key.campaignSeed, i,
+                            shape);
+                        switch (r.outcome) {
+                          case FaultOutcome::Masked:
+                            ++counts.masked;
+                            break;
+                          case FaultOutcome::Sdc:
+                            ++counts.sdc;
+                            break;
+                          case FaultOutcome::Due:
+                            ++counts.due;
+                            break;
+                        }
+                        if (campaign->records)
+                            (*campaign->records)[i] = r;
+                    }
+                    counts.busySeconds =
                         std::chrono::duration<double>(
                             std::chrono::steady_clock::now() - s0)
-                            .count()};
+                            .count();
                     if (store.is_open()) {
                         std::lock_guard<std::mutex> lock(store_mutex);
                         writeShardRecord(store, ShardRecord{key, counts});
@@ -813,7 +720,7 @@ runStudy(const StudySpec& spec, StudyProgress* progress_out)
         // here, so only cells left with a shard to execute queue for
         // admission (a fully resumed cell never builds a pack).  The
         // longest golden runs are admitted first — their packs and
-        // shards are the tail of the study — with ties in grid order.
+        // shards are the tail of the study — with ties in cell order.
         std::lock_guard<std::mutex> lock(state_mutex);
         std::vector<ShardTask> to_run;
         for (CampaignExec& c : campaigns)
@@ -836,27 +743,160 @@ runStudy(const StudySpec& spec, StudyProgress* progress_out)
         GPR_ASSERT(c.finished && c.outstanding == 0,
                    "campaign did not run to a stopping point");
     }
+}
 
-    std::map<std::size_t, std::map<TargetStructure, CampaignTotals>>
-        totals_by_cell;
-    for (const CampaignExec& c : campaigns) {
-        CampaignTotals& t = totals_by_cell[c.cellIndex][c.structure];
-        t.counts = c.counts;
-        t.injections = c.injectionsDone;
+} // namespace
+
+StudyResult
+runStudy(const StudySpec& spec, StudyProgress* progress_out)
+{
+    const auto t0 = std::chrono::steady_clock::now();
+    spec.validate();
+
+    StudyResult result;
+    result.workloads = spec.resolvedWorkloads();
+    result.gpus = spec.resolvedGpus();
+    const std::size_t num_gpus = result.gpus.size();
+
+    StudyProgress progress;
+    progress.cells = result.workloads.size() * num_gpus;
+
+    // Load completed shards from a previous (possibly killed) run.  The
+    // store's header pins the campaign spec the shards were computed
+    // under: resuming with a different campaign fails loudly instead of
+    // silently mixing two experiments' counts.  (Execution knobs are
+    // not part of the hash — stores stay resumable at any jobs/shards/
+    // checkpoints setting.)
+    std::map<ShardKey, ShardCounts> checkpointed;
+    bool store_exists = false;
+    bool backfill_header = false;
+    if (spec.resume && !spec.storePath.empty()) {
+        const auto load0 = std::chrono::steady_clock::now();
+        std::ifstream in(spec.storePath);
+        if (in) {
+            store_exists = true;
+            // Header records are recognised at any line, not just the
+            // first: a run killed before its header flushed — or a
+            // legacy store that was back-filled on a previous resume —
+            // must not lose the guard.
+            std::vector<StoreHeader> headers;
+            for (ShardRecord& r : readShardStore(in, &headers))
+                checkpointed[std::move(r.key)] = r.counts;
+            for (const StoreHeader& header : headers) {
+                if (header.specHash != spec.campaignHashHex()) {
+                    fatal("shard store '", spec.storePath,
+                          "' was written under campaign spec ",
+                          header.specHash, " but the current spec is ",
+                          spec.campaignHashHex(),
+                          "; refusing to resume a mismatched store "
+                          "(use a fresh --store to start over)");
+                }
+            }
+            if (headers.empty()) {
+                warn("shard store '", spec.storePath,
+                     "' has no spec header (older version, or a run "
+                     "killed before the header flushed); resuming with "
+                     "per-key matching only and stamping the current "
+                     "spec so future resumes are verified again");
+                backfill_header = true;
+            }
+        }
+        progress.resumeLoadSeconds =
+            std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                          load0)
+                .count();
     }
+
+    std::ofstream store;
+    if (!spec.storePath.empty()) {
+        // A killed run can leave a truncated tail line without a newline;
+        // start appending on a fresh line so the glued bytes stay one
+        // (skippable) broken line instead of corrupting a new record.
+        bool needs_newline = false;
+        if (spec.resume && store_exists) {
+            std::ifstream probe(spec.storePath, std::ios::binary);
+            if (probe && probe.seekg(-1, std::ios::end)) {
+                char last = '\n';
+                probe.get(last);
+                needs_newline = last != '\n';
+            }
+        }
+        const bool fresh_store = !spec.resume || !store_exists;
+        store.open(spec.storePath, spec.resume
+                                       ? std::ios::out | std::ios::app
+                                       : std::ios::out | std::ios::trunc);
+        if (!store) {
+            fatal("cannot open shard store '", spec.storePath,
+                  "' for writing");
+        }
+        if (needs_newline)
+            store << '\n';
+        if (fresh_store || backfill_header) {
+            StoreHeader header;
+            header.specHash = spec.campaignHashHex();
+            header.specJson = spec.toJsonString();
+            writeStoreHeader(store, header);
+            store << '\n';
+            store.flush();
+        }
+    }
+
+    // Canonical cells: duplicate grid entries collapse into one.
+    std::map<std::pair<std::string, GpuModel>, std::size_t> canonical;
+    std::vector<std::size_t> cell_of_grid(progress.cells);
+    std::vector<std::unique_ptr<Cell>> cells; // stable addresses
+    for (std::size_t w = 0; w < result.workloads.size(); ++w) {
+        for (std::size_t g = 0; g < num_gpus; ++g) {
+            const auto [it, fresh] = canonical.try_emplace(
+                std::make_pair(result.workloads[w], result.gpus[g]),
+                cells.size());
+            cell_of_grid[w * num_gpus + g] = it->second;
+            if (!fresh)
+                continue;
+            auto cell = std::make_unique<Cell>();
+            cell->workload = result.workloads[w];
+            cell->gpu = result.gpus[g];
+            cell->config = &gpuConfig(cell->gpu);
+            cells.push_back(std::move(cell));
+        }
+    }
+
+    // One campaign per (cell, structure).  decomposeStudy emits each
+    // campaign's shards contiguously and in injection order, so
+    // grouping is a linear scan.
+    std::vector<CampaignExec> campaigns;
+    for (const ShardKey& key : decomposeStudy(spec)) {
+        const std::size_t ci =
+            canonical.at(std::make_pair(key.workload, key.gpu));
+        if (campaigns.empty() || campaigns.back().cellIndex != ci ||
+            campaigns.back().structure != key.structure) {
+            CampaignExec c;
+            c.cellIndex = ci;
+            c.structure = key.structure;
+            campaigns.push_back(std::move(c));
+        }
+        campaigns.back().shards.push_back(key);
+    }
+
+    executeCampaigns(spec, cells, campaigns, checkpointed, store,
+                     strprintf("%zu workloads x %zu GPUs",
+                               result.workloads.size(), num_gpus),
+                     progress);
+
+    std::map<std::size_t, std::map<TargetStructure, const CampaignExec*>>
+        campaigns_by_cell;
+    for (const CampaignExec& c : campaigns)
+        campaigns_by_cell[c.cellIndex][c.structure] = &c;
 
     // Assembly — pure arithmetic over integer counts, so the reports are
     // bit-identical for any jobs/shards/resume configuration.  Duplicate
     // grid entries replicate their canonical cell's report (identical
     // seeds make that the result a recomputation would produce).
     result.reports.resize(progress.cells);
-    static const std::map<TargetStructure, CampaignTotals> kNoCampaigns;
     for (std::size_t pos = 0; pos < progress.cells; ++pos) {
         const std::size_t ci = cell_of_grid[pos];
-        const auto it = totals_by_cell.find(ci);
         assembleReport(result.reports[pos], *cells[ci], spec,
-                       it != totals_by_cell.end() ? it->second
-                                                  : kNoCampaigns);
+                       campaigns_by_cell[ci]);
     }
 
     const auto t1 = std::chrono::steady_clock::now();
@@ -880,6 +920,75 @@ runStudy(const StudySpec& spec, StudyProgress* progress_out)
     }
     if (progress_out)
         *progress_out = progress;
+    return result;
+}
+
+CampaignResult
+runCampaign(const GpuConfig& config, const WorkloadInstance& instance,
+            TargetStructure structure, const CampaignConfig& cc)
+{
+    // The executor reads only its knobs from the spec: this cell is
+    // caller-built, and a standalone campaign keeps no store.
+    StudySpec spec;
+    spec.plan = cc.plan;
+    spec.jobs = resolvedJobs(cc.numThreads);
+    spec.checkpoints = cc.checkpoints;
+    spec.faultBehavior = cc.shape.behavior;
+    spec.faultPattern = cc.shape.pattern;
+    spec.verbose = false;
+
+    std::vector<std::unique_ptr<Cell>> cells;
+    cells.push_back(std::make_unique<Cell>());
+    cells.front()->config = &config;
+    cells.front()->instance = &instance;
+
+    CampaignResult result;
+    result.structure = structure;
+    result.confidence = cc.plan.confidence;
+
+    std::vector<CampaignExec> campaigns;
+    const std::size_t cap = cc.plan.resolvedMaxInjections();
+    if (cap > 0) {
+        if (cc.keepRecords)
+            result.records.resize(cap);
+        CampaignExec c;
+        c.structure = structure;
+        c.records = cc.keepRecords ? &result.records : nullptr;
+        const std::size_t shards = spec.jobs * kShardsPerWorker;
+        for (const auto& [begin, end] :
+             campaignShardRanges(cc.plan, (cap + shards - 1) / shards)) {
+            ShardKey key;
+            key.structure = structure;
+            key.injectionBegin = begin;
+            key.injectionEnd = end;
+            // The caller's seed is the campaign seed itself; a study
+            // derives one per structure instead.
+            key.campaignSeed = cc.seed;
+            key.behavior = cc.shape.behavior;
+            key.pattern = cc.shape.pattern;
+            c.shards.push_back(std::move(key));
+        }
+        campaigns.push_back(std::move(c));
+    }
+
+    StudyProgress progress;
+    std::ofstream no_store;
+    executeCampaigns(spec, cells, campaigns, {}, no_store, "", progress);
+
+    result.ace = std::move(cells.front()->ace);
+    if (!campaigns.empty()) {
+        const CampaignExec& c = campaigns.front();
+        result.injections = static_cast<std::size_t>(c.injectionsDone);
+        result.masked = static_cast<std::size_t>(c.counts.masked);
+        result.sdc = static_cast<std::size_t>(c.counts.sdc);
+        result.due = static_cast<std::size_t>(c.counts.due);
+        result.wallSeconds = c.counts.busySeconds;
+    }
+    if (cc.keepRecords)
+        result.records.resize(result.injections);
+    GPR_ASSERT(result.masked + result.sdc + result.due ==
+                   result.injections,
+               "campaign accounting mismatch");
     return result;
 }
 

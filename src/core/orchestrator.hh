@@ -3,9 +3,9 @@
  * Study orchestrator — decomposes a StudySpec's grid into a flat
  * work-list of (workload, GPU, structure) campaign shards and executes
  * them on one persistent worker pool, instead of nesting a fresh
- * per-campaign pool inside every grid cell.  Each shard runs its
- * injection range through runInjectionRange() (reliability/campaign.hh),
- * the same loop a standalone runCampaign() runs.
+ * per-campaign pool inside every grid cell.  One executor runs every
+ * campaign: runStudy() hands it the grid's cells, and runCampaign() one
+ * caller-built cell with a single campaign.
  *
  * Four properties make the full 10x4 grid tractable:
  *
@@ -51,6 +51,7 @@
 #include "core/comparison.hh"
 #include "core/shard.hh"
 #include "core/study_spec.hh"
+#include "reliability/campaign.hh"
 #include "reliability/fault_injector.hh"
 
 namespace gpr {
@@ -83,11 +84,13 @@ struct StudyProgress
     /** Aggregate worker-seconds across executed shards (injection only:
      *  pack builds are counted in @ref packBuildSeconds). */
     double shardBusySeconds = 0.0;
-    /** Aggregate per-phase injection-engine breakdown across executed
-     *  shards (per-worker injectors merged at shard completion under
-     *  the orchestrator's state mutex — see CampaignResult::phaseStats
-     *  for the discipline).  Hit counts are bit-identical at any
-     *  jobs/shards configuration; the seconds are diagnostics. */
+    /** Aggregate per-phase injection-engine breakdown (prefilter /
+     *  restore / replay, plus shortcut hit counts) across executed
+     *  shards.  Each shard accumulates into its own injector, merged at
+     *  shard completion under the executor's state mutex — never into
+     *  shared state from inside the injection loop (lint rule D4 / the
+     *  TSan CI job).  Hit counts are bit-identical at any jobs/shards
+     *  configuration; the seconds are diagnostics. */
     InjectionPhaseStats phaseStats;
     /** Wall-clock spent replaying the JSONL shard store on resume
      *  (0 when not resuming). */
@@ -156,6 +159,20 @@ StudyPlan planStudy(const StudySpec& spec);
  */
 StudyResult runStudy(const StudySpec& spec,
                      StudyProgress* progress = nullptr);
+
+/**
+ * Run a statistical FI campaign for one (GPU, workload, structure)
+ * triple on the study executor: one golden+ACE pass (returned in
+ * CampaignResult::ace), one pack for @p structure, and
+ * `cc.numThreads` workers over a few shards each.  `cc.seed` is the
+ * campaign seed itself (a study derives one per structure).  Throws
+ * FatalError on configuration errors; individual abnormal outcomes are
+ * classified, never thrown.
+ */
+CampaignResult runCampaign(const GpuConfig& config,
+                           const WorkloadInstance& instance,
+                           TargetStructure structure,
+                           const CampaignConfig& cc = {});
 
 } // namespace gpr
 

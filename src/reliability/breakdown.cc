@@ -1,6 +1,7 @@
 #include "reliability/breakdown.hh"
 
 #include "common/logging.hh"
+#include "core/orchestrator.hh"
 
 namespace gpr {
 
@@ -62,7 +63,7 @@ runBreakdownCampaign(const GpuConfig& config,
     cc.keepRecords = true;
     const CampaignResult campaign =
         runCampaign(config, instance, structure, cc);
-    return computeBreakdown(campaign, campaign.goldenStats.cycles);
+    return computeBreakdown(campaign, campaign.ace.goldenStats.cycles);
 }
 
 } // namespace gpr

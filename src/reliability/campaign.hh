@@ -1,11 +1,12 @@
 /**
  * @file
  * Statistical fault-injection campaigns: N independent single-bit flips,
- * uniformly sampled over (structure bit, execution cycle), fanned out over
- * a worker pool.  Per-injection seeds are derived from (campaign seed,
- * injection index), so results are bit-identical regardless of the number
- * of worker threads.  runInjectionRange() is the injection loop itself,
- * shared with the study orchestrator's shards.
+ * uniformly sampled over (structure bit, execution cycle).  This header
+ * holds a standalone campaign's description and result, and the seeding
+ * scheme every engine shares; runCampaign() (core/orchestrator.hh) runs
+ * a campaign as a one-cell call of the study executor.  Per-injection
+ * seeds are derived from (campaign seed, injection index), so results
+ * are bit-identical regardless of the number of worker threads.
  */
 
 #ifndef GPR_RELIABILITY_CAMPAIGN_HH
@@ -14,9 +15,9 @@
 #include <cstdint>
 #include <vector>
 
+#include "reliability/ace.hh"
 #include "reliability/fault_injector.hh"
 #include "reliability/sampling.hh"
-#include "sim/stats.hh"
 
 namespace gpr {
 
@@ -25,8 +26,8 @@ struct CampaignConfig
     SamplePlan plan = paperSamplePlan();
     std::uint64_t seed = 0xC0FFEE;
     /** Parallel workers; 0 selects std::thread::hardware_concurrency().
-     *  Each run of injections starts its own WorkerPool of that size;
-     *  a single worker runs inline on the calling thread. */
+     *  The campaign runs on an executor pool of that size, split into a
+     *  few shards per worker. */
     unsigned numThreads = 0;
     /** Keep every per-injection record (memory-heavy for big campaigns). */
     bool keepRecords = false;
@@ -50,8 +51,9 @@ struct CampaignResult
     std::size_t sdc = 0;
     std::size_t due = 0;
 
-    /** Golden-run performance & occupancy statistics. */
-    SimStats goldenStats;
+    /** The cell's golden+ACE pass: ACE AVF per structure, and the
+     *  golden run's performance & occupancy in ace.goldenStats. */
+    AceResult ace;
 
     /**
      * Aggregate worker-seconds spent on the injection runs (summed busy
@@ -59,17 +61,6 @@ struct CampaignResult
      * campaign, and never double-counts when campaigns run at once).
      */
     double wallSeconds = 0.0;
-
-    /**
-     * Aggregate per-phase engine breakdown (prefilter / restore /
-     * replay, plus shortcut hit counts).  Each worker accumulates into
-     * its own injector and the partials merge under the result mutex at
-     * join — never into shared state from inside the injection loop
-     * (lint rule D4 / the TSan CI job).  Hit *counts* are a pure
-     * function of the injection set, so they are bit-identical at any
-     * worker count; the seconds are wall-clock diagnostics.
-     */
-    InjectionPhaseStats phaseStats;
 
     /** Confidence level the margins below are quoted at. */
     double confidence = 0.99;
@@ -149,41 +140,6 @@ runIndexedInjection(FaultInjector& injector, TargetStructure structure,
     Rng rng(deriveSeed(campaign_seed, index));
     return injector.injectRandom(structure, rng, shape);
 }
-
-/** Masked/SDC/DUE tallies of a range of injections. */
-struct OutcomeCounts
-{
-    std::uint64_t masked = 0;
-    std::uint64_t sdc = 0;
-    std::uint64_t due = 0;
-};
-
-/**
- * The injection loop every execution engine runs: injections
- * [@p begin, @p end) of the campaign seeded with @p campaign_seed, each
- * drawn by the runIndexedInjection() scheme, run in index order and
- * tallied by outcome.  runCampaign() calls it once per index its
- * workers fetch, a study shard once for the whole shard.
- * When @p records is set, (*records)[i] receives injection i's result;
- * it must hold at least @p end entries.
- */
-OutcomeCounts runInjectionRange(FaultInjector& injector,
-                                TargetStructure structure,
-                                std::uint64_t campaign_seed,
-                                const FaultShape& shape,
-                                std::uint64_t begin, std::uint64_t end,
-                                std::vector<InjectionResult>* records =
-                                    nullptr);
-
-/**
- * Run a statistical FI campaign for one (GPU, workload, structure)
- * triple.  Throws FatalError on configuration errors; individual
- * abnormal outcomes are classified, never thrown.
- */
-CampaignResult runCampaign(const GpuConfig& config,
-                           const WorkloadInstance& instance,
-                           TargetStructure structure,
-                           const CampaignConfig& cc = {});
 
 } // namespace gpr
 

@@ -16,6 +16,7 @@
 #include <optional>
 
 #include "common/random.hh"
+#include "core/orchestrator.hh"
 #include "isa/builder.hh"
 #include "reliability/campaign.hh"
 #include "reliability/fault_injector.hh"

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/worker_pool.hh"
+#include "core/orchestrator.hh"
 #include "reliability/campaign.hh"
 #include "sim_test_util.hh"
 #include "workloads/workloads.hh"
@@ -30,7 +31,7 @@ TEST(Campaign, ZeroInjectionsYieldsEmptyResult)
     const CampaignResult r = smallCampaign(0, 1);
     EXPECT_EQ(r.injections, 0u);
     EXPECT_EQ(r.avf(), 0.0);
-    EXPECT_GT(r.goldenStats.cycles, 0u); // golden still ran
+    EXPECT_GT(r.ace.goldenStats.cycles, 0u); // golden still ran
 }
 
 TEST(Campaign, CountsAreConsistent)
@@ -99,6 +100,55 @@ TEST(Campaign, RecordsKeptWhenRequested)
     EXPECT_EQ(masked, r.masked);
     EXPECT_EQ(sdc, r.sdc);
     EXPECT_EQ(due, r.due);
+}
+
+TEST(Campaign, RecordsFollowTheAdaptiveStoppingPoint)
+{
+    // Several shards per look write the records; the campaign keeps
+    // exactly the prefix up to its stopping point, whatever the worker
+    // count.
+    const GpuConfig cfg = test::smallCudaConfig();
+    const WorkloadInstance inst =
+        makeWorkload("vectoradd")->build(cfg.dialect, {});
+    CampaignConfig cc;
+    cc.plan.margin = 0.1;
+    cc.plan.confidence = 0.9;
+    cc.plan.maxInjections = 200;
+    cc.seed = 0x5EC;
+    cc.keepRecords = true;
+    std::vector<CampaignResult> runs;
+    for (unsigned threads : {1u, 3u}) {
+        cc.numThreads = threads;
+        runs.push_back(runCampaign(cfg, inst,
+                                   TargetStructure::VectorRegisterFile, cc));
+        const CampaignResult& r = runs.back();
+        ASSERT_EQ(r.records.size(), r.injections) << threads << " threads";
+        EXPECT_LT(r.injections, cc.plan.maxInjections)
+            << "the campaign should stop before its cap";
+        std::size_t masked = 0, sdc = 0, due = 0;
+        for (const InjectionResult& rec : r.records) {
+            masked += rec.outcome == FaultOutcome::Masked;
+            sdc += rec.outcome == FaultOutcome::Sdc;
+            due += rec.outcome == FaultOutcome::Due;
+        }
+        EXPECT_EQ(masked, r.masked) << threads << " threads";
+        EXPECT_EQ(sdc, r.sdc) << threads << " threads";
+        EXPECT_EQ(due, r.due) << threads << " threads";
+    }
+
+    const CampaignResult& a = runs[0];
+    const CampaignResult& b = runs[1];
+    ASSERT_EQ(a.records.size(), b.records.size());
+    for (std::size_t i = 0; i < a.records.size(); ++i) {
+        const InjectionResult& x = a.records[i];
+        const InjectionResult& y = b.records[i];
+        EXPECT_EQ(x.fault.structure, y.fault.structure) << i;
+        EXPECT_EQ(x.fault.bitIndex, y.fault.bitIndex) << i;
+        EXPECT_EQ(x.fault.cycle, y.fault.cycle) << i;
+        EXPECT_EQ(x.fault.shape(), y.fault.shape()) << i;
+        EXPECT_EQ(x.outcome, y.outcome) << i;
+        EXPECT_EQ(x.trap, y.trap) << i;
+    }
 }
 
 TEST(Campaign, MarginMatchesPlanFormula)

@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "core/orchestrator.hh"
 #include "reliability/campaign.hh"
 #include "reliability/fault_injector.hh"
 #include "sim/storage.hh"

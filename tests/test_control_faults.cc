@@ -17,6 +17,7 @@
 
 #include "common/hash.hh"
 #include "common/string_utils.hh"
+#include "core/orchestrator.hh"
 #include "isa/builder.hh"
 #include "reliability/ace.hh"
 #include "reliability/campaign.hh"

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/orchestrator.hh"
 #include "reliability/ace.hh"
 #include "reliability/campaign.hh"
 #include "reliability/fit_epf.hh"
@@ -34,14 +35,13 @@ measure(const GpuConfig& cfg, const char* workload, TargetStructure s,
     cc.plan.injections = n;
     cc.seed = 0x7357;
     const CampaignResult fi = runCampaign(cfg, inst, s, cc);
-    const AceResult ace = runAceAnalysis(cfg, inst);
     Measured m;
     m.avf_fi = fi.avf();
     m.margin = fi.errorMargin();
-    m.avf_ace = ace.forStructure(s).avf();
+    m.avf_ace = fi.ace.forStructure(s).avf();
     m.occupancy = s == TargetStructure::VectorRegisterFile
-                      ? fi.goldenStats.avgRegFileOccupancy
-                      : fi.goldenStats.avgSmemOccupancy;
+                      ? fi.ace.goldenStats.avgRegFileOccupancy
+                      : fi.ace.goldenStats.avgSmemOccupancy;
     return m;
 }
 

@@ -14,6 +14,7 @@
 
 #include "core/export.hh"
 #include "core/framework.hh"
+#include "core/orchestrator.hh"
 #include "reliability/campaign.hh"
 #include "sim/gpu.hh"
 #include "sim/structure_registry.hh"

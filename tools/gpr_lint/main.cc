@@ -4,7 +4,7 @@
  *
  *     gpr_lint --compile-commands=build/compile_commands.json
  *     gpr_lint src tools
- *     gpr_lint --rules=D1,D3 src/reliability/campaign.cc
+ *     gpr_lint --rules=D1,D3 src/core/orchestrator.cc
  *
  * Exit status: 0 when clean, 1 when any finding fired, 2 on usage or
  * I/O errors.  Findings print as `file:line: [Dn] message`; pass
