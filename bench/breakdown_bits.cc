@@ -46,8 +46,11 @@ run(int argc, char** argv)
         // Breakdown needs more samples per bucket than a plain AVF.
         cc.plan.injections = std::max<std::size_t>(cc.plan.injections * 4,
                                                    600);
-        const VulnerabilityBreakdown bd = runBreakdownCampaign(
+        cc.keepRecords = true;
+        const CampaignResult fi = runCampaign(
             cfg, inst, TargetStructure::VectorRegisterFile, cc);
+        const VulnerabilityBreakdown bd =
+            computeBreakdown(fi, fi.ace.goldenStats.cycles);
 
         std::cout << strprintf(
             "\n%s on %s, register file, %u injections, AVF %.1f%%\n",

@@ -12,6 +12,7 @@
  */
 
 #include <iostream>
+#include <vector>
 
 #include "common/logging.hh"
 #include "common/string_utils.hh"
@@ -34,28 +35,34 @@ run(int argc, char** argv)
     const WorkloadInstance inst = framework.buildInstance(workload);
     const GpuConfig& cfg = framework.config();
 
-    const AceResult ace = runAceAnalysis(cfg, inst);
+    // The sweep inherits the paper spec's campaign parameters (99 %
+    // confidence) and only varies the sample size.
+    const StudySpec paper = paperStudySpec();
+    std::vector<CampaignResult> sweep;
+    for (std::size_t n : {50u, 100u, 200u, 400u, 800u, 1600u}) {
+        CampaignConfig cc;
+        cc.plan = paper.plan;
+        cc.plan.injections = n;
+        cc.seed = paper.seed;
+        sweep.push_back(runCampaign(
+            cfg, inst, TargetStructure::VectorRegisterFile, cc));
+    }
+
+    // Every campaign's golden run is also an ACE analysis of the cell.
+    const AceResult& ace = sweep.front().ace;
     std::cout << strprintf(
         "%s on %s: ACE analysis takes %.3f s (single instrumented run)\n"
         "  register-file AVF-ACE = %.2f%%\n\n",
         workload.c_str(), cfg.name.c_str(), ace.wallSeconds,
         100 * ace.forStructure(TargetStructure::VectorRegisterFile).avf());
 
-    // The sweep inherits the paper spec's campaign parameters (99 %
-    // confidence) and only varies the sample size.
-    const StudySpec paper = paperStudySpec();
     TextTable table({"injections", "AVF-FI", "Wilson 99% CI", "margin",
                      "worker-s", "cost vs ACE"});
-    for (std::size_t n : {50u, 100u, 200u, 400u, 800u, 1600u}) {
-        CampaignConfig cc;
-        cc.plan = paper.plan;
-        cc.plan.injections = n;
-        cc.seed = paper.seed;
-        const CampaignResult fi = runCampaign(
-            cfg, inst, TargetStructure::VectorRegisterFile, cc);
+    for (const CampaignResult& fi : sweep) {
         const Interval ci = fi.avfInterval();
         table.addRow(
-            {strprintf("%zu", n), strprintf("%.2f%%", 100 * fi.avf()),
+            {strprintf("%zu", fi.injections),
+             strprintf("%.2f%%", 100 * fi.avf()),
              strprintf("[%.1f%%, %.1f%%]", 100 * ci.lo, 100 * ci.hi),
              strprintf("+/-%.2f%%", 100 * fi.errorMargin()),
              strprintf("%.2f", fi.wallSeconds),

@@ -31,15 +31,17 @@ namespace gpr {
 namespace {
 
 /**
- * [begin, end) injection ranges of one campaign's shards.  Shard
+ * [begin, end) injection ranges of one campaign's shards, each look span
+ * cut into shards of at most @p shard_size(span) injections.  Shard
  * boundaries always coincide with the adaptive look schedule (a fixed
  * plan is one "look" covering everything), so the cumulative counts the
  * stopping rule reads at each look are whole-shard sums regardless of
- * the shards-per-campaign setting — which is what keeps the stopping
- * decision a pure function of the ordered record prefix.
+ * the shard size — which is what keeps the stopping decision a pure
+ * function of the ordered record prefix.
  */
+template <typename ShardSize>
 std::vector<std::pair<std::uint64_t, std::uint64_t>>
-campaignShardRanges(const SamplePlan& plan, std::size_t per)
+campaignShardRanges(const SamplePlan& plan, ShardSize shard_size)
 {
     std::vector<std::uint64_t> looks;
     if (plan.adaptive())
@@ -50,6 +52,7 @@ campaignShardRanges(const SamplePlan& plan, std::size_t per)
     std::vector<std::pair<std::uint64_t, std::uint64_t>> ranges;
     std::uint64_t prev = 0;
     for (std::uint64_t look : looks) {
+        const std::uint64_t per = shard_size(look - prev);
         for (std::uint64_t begin = prev; begin < look; begin += per)
             ranges.emplace_back(begin,
                                 std::min<std::uint64_t>(begin + per, look));
@@ -87,9 +90,10 @@ decomposeStudy(const StudySpec& spec)
     std::size_t shards_per_campaign = spec.shardsPerCampaign;
     if (shards_per_campaign == 0)
         shards_per_campaign = defaultShardCount(spec.plan);
-    const std::size_t per =
+    const std::uint64_t per =
         (n + shards_per_campaign - 1) / shards_per_campaign;
-    const auto ranges = campaignShardRanges(spec.plan, per);
+    const auto ranges =
+        campaignShardRanges(spec.plan, [per](std::uint64_t) { return per; });
 
     // Duplicate (workload, GPU) grid entries are one cell: identical
     // seeds produce identical counts, so they share one set of shards
@@ -188,16 +192,33 @@ planStudy(const StudySpec& spec)
 
 namespace {
 
-/** Shards per worker of a standalone campaign.  One shard per worker
- *  would leave the tail to whichever worker drew the slowest injections;
- *  a few per worker let the pool rebalance. */
-constexpr std::size_t kShardsPerWorker = 4;
+/** Shards per worker in each look of a standalone campaign.  One shard
+ *  per worker leaves the look's tail to whichever worker drew the
+ *  slowest injections; more let the pool rebalance, at about 0.3 ms of
+ *  injector setup per shard.  Of 1, 2, 4, 8 and 16, 8 was the fastest or
+ *  tied on 150-injection fixed campaigns and on an adaptive one (GTX 480
+ *  register file, 4 jobs on a 4-vCPU VM). */
+constexpr std::size_t kShardsPerWorker = 8;
 
 unsigned
 resolvedJobs(unsigned jobs)
 {
     return jobs ? jobs : std::max(1u, std::thread::hardware_concurrency());
 }
+
+/** What the executor reads of a study or of a standalone campaign. */
+struct ExecOptions
+{
+    SamplePlan plan;
+    /** Pool size; 0 = hardware concurrency. */
+    unsigned jobs = 0;
+    unsigned checkpoints = 0;
+    /** The one fault behavior the cells' packs record for. */
+    FaultBehavior behavior = FaultBehavior::Transient;
+    /** Input seed of the instances the golden wave builds. */
+    std::uint64_t workloadSeed = 0;
+    bool verbose = false;
+};
 
 struct CampaignExec;
 /** A shard ready for submission: its campaign and its key. */
@@ -376,7 +397,7 @@ assembleReport(ReliabilityReport& report, const Cell& cell,
 }
 
 /**
- * Execute @p campaigns over @p cells on one pool of `spec.jobs` workers:
+ * Execute @p campaigns over @p cells on one pool of `opts.jobs` workers:
  * the golden+ACE wave over every cell, then cell admission (longest
  * golden run first, at most `jobs` packs alive), the shard tasks, and
  * the per-look stopping rule.  Shards found in @p checkpointed merge
@@ -384,7 +405,7 @@ assembleReport(ReliabilityReport& report, const Cell& cell,
  * @p grid describes the cells in the golden wave's progress line.
  */
 void
-executeCampaigns(const StudySpec& spec,
+executeCampaigns(const ExecOptions& opts,
                  std::vector<std::unique_ptr<Cell>>& cells,
                  std::vector<CampaignExec>& campaigns,
                  const std::map<ShardKey, ShardCounts>& checkpointed,
@@ -397,7 +418,7 @@ executeCampaigns(const StudySpec& spec,
     // The pool never spawns more threads than it has work for the
     // larger wave.
     const unsigned jobs = static_cast<unsigned>(std::min<std::size_t>(
-        resolvedJobs(spec.jobs),
+        resolvedJobs(opts.jobs),
         std::max({std::size_t{1}, cells.size(), progress.totalShards})));
     WorkerPool pool(jobs);
     std::mutex error_mutex;
@@ -425,7 +446,7 @@ executeCampaigns(const StudySpec& spec,
     // reuses it instead of re-running the golden.
     for (auto& c : cells) {
         Cell* cell = c.get();
-        pool.submit([&spec, &record_error, &errored, cell]() {
+        pool.submit([&opts, &record_error, &errored, cell]() {
             if (errored())
                 return;
             try {
@@ -433,7 +454,7 @@ executeCampaigns(const StudySpec& spec,
                     const auto workload = makeWorkload(cell->workload);
                     cell->usesLds = workload->usesLocalMemory();
                     WorkloadParams params;
-                    params.seed = spec.workloadSeed;
+                    params.seed = opts.workloadSeed;
                     cell->built =
                         workload->build(cell->config->dialect, params);
                     cell->instance = &cell->built;
@@ -446,7 +467,7 @@ executeCampaigns(const StudySpec& spec,
     }
     rethrow_errors();
     progress.goldenRuns = cells.size();
-    if (spec.verbose) {
+    if (opts.verbose) {
         inform("study: ", cells.size(), " golden+ACE runs cached (", grid,
                ")");
     }
@@ -457,14 +478,14 @@ executeCampaigns(const StudySpec& spec,
     // stop on the cumulative counts (a fixed plan is a single batch).
     // Campaigns advance independently, so the pool stays busy across
     // the grid even though batches within one campaign serialize.
-    const bool adaptive = spec.plan.adaptive() && !spec.aceOnly;
+    const bool adaptive = opts.plan.adaptive();
     std::vector<std::uint64_t> looks;
     double guarded_confidence = 0.0;
     if (adaptive && !campaigns.empty()) {
-        looks = sequentialSchedule(spec.plan);
+        looks = sequentialSchedule(opts.plan);
         // Derived once: every stop evaluation below runs under the
         // state mutex and must not rebuild the schedule.
-        guarded_confidence = sequentialConfidence(spec.plan);
+        guarded_confidence = sequentialConfidence(opts.plan);
     }
 
     for (CampaignExec& c : campaigns) {
@@ -512,7 +533,7 @@ executeCampaigns(const StudySpec& spec,
                 submit_shard(campaign, key);
             cell->waiting.clear();
         };
-        if (spec.checkpoints == 0) {
+        if (opts.checkpoints == 0) {
             release_waiting_locked();
             return;
         }
@@ -526,8 +547,8 @@ executeCampaigns(const StudySpec& spec,
                 // Record for the structures this cell's campaigns
                 // inject and the one fault behavior, and no others.
                 auto pack = injector.buildCheckpointPack(
-                    spec.checkpoints, cell->structures,
-                    {spec.faultBehavior});
+                    opts.checkpoints, cell->structures,
+                    {opts.behavior});
                 const double build_seconds =
                     std::chrono::duration<double>(
                         std::chrono::steady_clock::now() - p0)
@@ -585,7 +606,7 @@ executeCampaigns(const StudySpec& spec,
             // never take a slot.
             admit_next_locked();
         }
-        if (spec.verbose) {
+        if (opts.verbose) {
             inform("study: ", cell->workload, " on ",
                    gpuModelName(cell->gpu), " ",
                    targetStructureName(c.structure), " campaign done (",
@@ -616,7 +637,7 @@ executeCampaigns(const StudySpec& spec,
                     stop = evaluateSequentialStop(c.counts.sdc,
                                                   c.counts.due,
                                                   c.injectionsDone,
-                                                  spec.plan,
+                                                  opts.plan,
                                                   guarded_confidence)
                                .stop;
                 }
@@ -878,7 +899,14 @@ runStudy(const StudySpec& spec, StudyProgress* progress_out)
         campaigns.back().shards.push_back(key);
     }
 
-    executeCampaigns(spec, cells, campaigns, checkpointed, store,
+    ExecOptions opts;
+    opts.plan = spec.plan;
+    opts.jobs = spec.jobs;
+    opts.checkpoints = spec.checkpoints;
+    opts.behavior = spec.faultBehavior;
+    opts.workloadSeed = spec.workloadSeed;
+    opts.verbose = spec.verbose;
+    executeCampaigns(opts, cells, campaigns, checkpointed, store,
                      strprintf("%zu workloads x %zu GPUs",
                                result.workloads.size(), num_gpus),
                      progress);
@@ -927,15 +955,13 @@ CampaignResult
 runCampaign(const GpuConfig& config, const WorkloadInstance& instance,
             TargetStructure structure, const CampaignConfig& cc)
 {
-    // The executor reads only its knobs from the spec: this cell is
-    // caller-built, and a standalone campaign keeps no store.
-    StudySpec spec;
-    spec.plan = cc.plan;
-    spec.jobs = resolvedJobs(cc.numThreads);
-    spec.checkpoints = cc.checkpoints;
-    spec.faultBehavior = cc.shape.behavior;
-    spec.faultPattern = cc.shape.pattern;
-    spec.verbose = false;
+    // The cell is caller-built, so no workload seed applies, and a
+    // standalone campaign keeps no store.
+    ExecOptions opts;
+    opts.plan = cc.plan;
+    opts.jobs = resolvedJobs(cc.numThreads);
+    opts.checkpoints = cc.checkpoints;
+    opts.behavior = cc.shape.behavior;
 
     std::vector<std::unique_ptr<Cell>> cells;
     cells.push_back(std::make_unique<Cell>());
@@ -954,9 +980,14 @@ runCampaign(const GpuConfig& config, const WorkloadInstance& instance,
         CampaignExec c;
         c.structure = structure;
         c.records = cc.keepRecords ? &result.records : nullptr;
-        const std::size_t shards = spec.jobs * kShardsPerWorker;
-        for (const auto& [begin, end] :
-             campaignShardRanges(cc.plan, (cap + shards - 1) / shards)) {
+        // Every look is cut into the same number of shards: the executor
+        // issues one look at a time, so shards sized for the whole cap
+        // would leave a short early look to one worker.
+        const std::uint64_t shards = opts.jobs * kShardsPerWorker;
+        for (const auto& [begin, end] : campaignShardRanges(
+                 cc.plan, [shards](std::uint64_t span) {
+                     return (span + shards - 1) / shards;
+                 })) {
             ShardKey key;
             key.structure = structure;
             key.injectionBegin = begin;
@@ -973,7 +1004,7 @@ runCampaign(const GpuConfig& config, const WorkloadInstance& instance,
 
     StudyProgress progress;
     std::ofstream no_store;
-    executeCampaigns(spec, cells, campaigns, {}, no_store, "", progress);
+    executeCampaigns(opts, cells, campaigns, {}, no_store, "", progress);
 
     result.ace = std::move(cells.front()->ace);
     if (!campaigns.empty()) {

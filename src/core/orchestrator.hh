@@ -163,11 +163,11 @@ StudyResult runStudy(const StudySpec& spec,
 /**
  * Run a statistical FI campaign for one (GPU, workload, structure)
  * triple on the study executor: one golden+ACE pass (returned in
- * CampaignResult::ace), one pack for @p structure, and
- * `cc.numThreads` workers over a few shards each.  `cc.seed` is the
- * campaign seed itself (a study derives one per structure).  Throws
- * FatalError on configuration errors; individual abnormal outcomes are
- * classified, never thrown.
+ * CampaignResult::ace), one pack for @p structure, and `cc.numThreads`
+ * workers, each look of the plan cut into a few shards per worker.
+ * `cc.seed` is the campaign seed itself (a study derives one per
+ * structure).  Throws FatalError on configuration errors; individual
+ * abnormal outcomes are classified, never thrown.
  */
 CampaignResult runCampaign(const GpuConfig& config,
                            const WorkloadInstance& instance,

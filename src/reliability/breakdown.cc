@@ -1,7 +1,6 @@
 #include "reliability/breakdown.hh"
 
 #include "common/logging.hh"
-#include "core/orchestrator.hh"
 
 namespace gpr {
 
@@ -53,17 +52,6 @@ computeBreakdown(const CampaignResult& campaign, Cycle golden_cycles)
         bump(bd.overall);
     }
     return bd;
-}
-
-VulnerabilityBreakdown
-runBreakdownCampaign(const GpuConfig& config,
-                     const WorkloadInstance& instance,
-                     TargetStructure structure, CampaignConfig cc)
-{
-    cc.keepRecords = true;
-    const CampaignResult campaign =
-        runCampaign(config, instance, structure, cc);
-    return computeBreakdown(campaign, campaign.ace.goldenStats.cycles);
 }
 
 } // namespace gpr

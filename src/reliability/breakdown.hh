@@ -65,15 +65,6 @@ struct VulnerabilityBreakdown
 VulnerabilityBreakdown computeBreakdown(const CampaignResult& campaign,
                                         Cycle golden_cycles);
 
-/**
- * Convenience: run a record-keeping campaign and profile it in one call.
- */
-VulnerabilityBreakdown
-runBreakdownCampaign(const GpuConfig& config,
-                     const WorkloadInstance& instance,
-                     TargetStructure structure,
-                     CampaignConfig cc = {});
-
 } // namespace gpr
 
 #endif // GPR_RELIABILITY_BREAKDOWN_HH

@@ -26,8 +26,8 @@ struct CampaignConfig
     SamplePlan plan = paperSamplePlan();
     std::uint64_t seed = 0xC0FFEE;
     /** Parallel workers; 0 selects std::thread::hardware_concurrency().
-     *  The campaign runs on an executor pool of that size, split into a
-     *  few shards per worker. */
+     *  The campaign runs on an executor pool of that size, each look
+     *  of the plan split into a few shards per worker. */
     unsigned numThreads = 0;
     /** Keep every per-injection record (memory-heavy for big campaigns). */
     bool keepRecords = false;

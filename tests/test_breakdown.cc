@@ -5,6 +5,7 @@
 #include <string>
 
 #include "common/logging.hh"
+#include "core/orchestrator.hh"
 #include "reliability/access_profile.hh"
 #include "reliability/breakdown.hh"
 #include "sim_test_util.hh"
@@ -20,8 +21,11 @@ TEST(Breakdown, BucketsPartitionTheCampaign)
     const WorkloadInstance inst = wl->build(cfg.dialect, {});
     CampaignConfig cc;
     cc.plan.injections = 120;
-    const VulnerabilityBreakdown bd = runBreakdownCampaign(
-        cfg, inst, TargetStructure::VectorRegisterFile, cc);
+    cc.keepRecords = true;
+    const CampaignResult fi =
+        runCampaign(cfg, inst, TargetStructure::VectorRegisterFile, cc);
+    const VulnerabilityBreakdown bd =
+        computeBreakdown(fi, fi.ace.goldenStats.cycles);
 
     EXPECT_EQ(bd.overall.total(), 120u);
 
